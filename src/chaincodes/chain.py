@@ -335,7 +335,3 @@ def cr_add_at(spec: ChainRingSpec, level: int, a: CRElem, b: CRElem) -> CRElem:
 
 def cr_mul_at(spec: ChainRingSpec, level: int, a: CRElem, b: CRElem) -> CRElem:
     return truncate_elem(spec, cr_mul(spec, a, b), level)
-
-
-def cr_neg_at(spec: ChainRingSpec, level: int, a: CRElem) -> CRElem:
-    return truncate_elem(spec, cr_neg(spec, a), level)

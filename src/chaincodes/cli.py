@@ -32,6 +32,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import (
+    PRESET_NAMES,
     ChainRingSpec,
     cr_from_int,
     format_ring_spec,
@@ -39,7 +40,7 @@ from .chain import (
     preset,
     to_u_adic,
 )
-from .enumeration import count_sd_type, count_so_type, total_counts
+from .enumeration import _all_types, count_sd_type, count_so_type, total_counts
 from .fieldcodes import make_field_code
 from .galois import format_field_elem, parse_field_elem
 from .lifting import (
@@ -63,9 +64,6 @@ from .tables import GOLDEN_TABLES
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-_PRESETS = ("R4,1", "R5,1", "R6,2", "R8,2")
-
 
 def _ring_from_args(args: argparse.Namespace) -> ChainRingSpec:
     if getattr(args, "preset", None):
@@ -378,19 +376,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _all_types(e: int, n: int):
-    def walk(prefix: List[int], remaining: int):
-        if len(prefix) == e:
-            yield tuple(prefix)
-            return
-        for lam in range(remaining + 1):
-            prefix.append(lam)
-            yield from walk(prefix, remaining - lam)
-            prefix.pop()
-
-    yield from walk([], n)
-
-
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     import random
     import time
@@ -401,7 +386,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     if args.type:
         targets = [_parse_type(args.type, spec.e)]
     else:
-        targets = list(_all_types(spec.e, args.n))
+        targets = list(_all_types(spec, args.n))
         if args.sample is not None:
             rng = random.Random(args.seed)
             targets = rng.sample(targets, min(args.sample, len(targets)))
@@ -451,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ring_args = argparse.ArgumentParser(add_help=False)
     group = ring_args.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=_PRESETS, help="built-in example ring")
+    group.add_argument("--preset", choices=PRESET_NAMES, help="built-in example ring")
     group.add_argument("--ring", help="ring spec string CR(2^s,m;kappa,t;g)")
 
     def fmt_args(default: str = "json") -> argparse.ArgumentParser:

@@ -93,6 +93,16 @@ def _cum(lambdas: Sequence[int]) -> Callable[[int], int]:
     return cum
 
 
+def _break_crossable(n: int, m: int) -> bool:
+    """n = 0 (mod 8), or n = 4 (mod 8) over a field of even degree.
+
+    At even length this splits the chain counts into their two forms, and
+    it is exactly when the all-one word may sit at the ramification break
+    and still lift across it.
+    """
+    return n % 8 == 0 or (n % 8 == 4 and m % 2 == 0)
+
+
 def so_feasible(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> bool:
     """Whether a self-orthogonal code of this type can exist at all.
 
@@ -151,7 +161,7 @@ def _d_zero(q: int, m: int, n: int, lam: int) -> int:
         for i in range(1, lam):
             out = out * _exact_div(q ** (n - 2 - 2 * i) - 1, q ** (i + 1) - 1)
         return out
-    if r8 == 0 or (r8 == 4 and m % 2 == 0):
+    if _break_crossable(n, m):
         out = 1
         for i in range(lam):
             num = q ** (n - 2 * i - 3) + q ** (h - 1 - i) - q ** (h - i - 2) - 1
@@ -173,7 +183,7 @@ def _b_zero(q: int, m: int, n: int, lam: int) -> int:
     r8 = n % 8
     if r8 in (2, 6):
         lead = q ** (n - 2 * lam - 1) - q ** (h - lam - 1)
-    elif r8 == 0 or (r8 == 4 and m % 2 == 0):
+    elif _break_crossable(n, m):
         lead = q ** (n - 2 * lam - 1) + q ** (h - lam) - q ** (h - lam - 1) - 1
     else:
         lead = q ** (n - 2 * lam - 1) - q ** (h - lam) + q ** (h - lam - 1) - 1
@@ -301,7 +311,7 @@ def b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
         return base
     if 2 * kappa <= e:
         total = base
-        if r8 == 0 or (r8 == 4 and spec.m % 2 == 0):
+        if _break_crossable(n, spec.m):
             total += 2 * q**kappa1 * chain_family_counts("M", spec, n, lambdas)
         for omega in range(0, kappa1 - theta + 1):
             total += q**omega * chain_family_counts("Y", spec, n, lambdas, omega)
@@ -371,7 +381,7 @@ def per_chain_lift_count(
     mu = 0
     if 2 * kappa <= e:
         if chain_one(s - kappa + theta):
-            if not (n % 8 == 0 or (n % 8 == 4 and spec.m % 2 == 0)):
+            if not _break_crossable(n, spec.m):
                 raise ValueError(
                     "chain admits no lifts: all-one word at break depth with "
                     f"length {n} mod 8 = {n % 8} over odd field degree"

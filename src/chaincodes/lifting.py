@@ -13,12 +13,11 @@ two can be compared case by case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .chain import ChainRingSpec, from_u_adic, to_u_adic
-from .enumeration import gaussian_binomial
+from .chain import ChainRingSpec, to_u_adic
+from .enumeration import _break_crossable, _cum, gaussian_binomial
 from .fieldcodes import (
     FieldCode,
     contains_all_one,
@@ -31,7 +30,11 @@ from .fieldcodes import (
 from .ringcodes import (
     RingCode,
     RVec,
+    Slot,
+    bottom_blocks,
+    fill_candidates,
     is_self_orthogonal_ring,
+    rv_teich,
     satisfies_deep_orthogonality,
     torsion_code,
 )
@@ -228,7 +231,7 @@ def stage_obstruction(
     theta = spec.e % 2
     if not chain_one(s - spec.kappa + theta):
         return None
-    if n % 8 == 0 or (n % 8 == 4 and spec.gr.m % 2 == 0):
+    if _break_crossable(n, spec.gr.m):
         return None
     return (
         "no break-crossing lift: the all-one word sits too deep in the chain "
@@ -267,12 +270,7 @@ def stage_count_formula(
     def lam(i: int) -> int:
         return lambdas[i - 1] if 1 <= i <= e else 0
 
-    def cum(i: int) -> int:
-        if i <= 0:
-            return 0
-        if i > e:
-            raise ValueError("cumulative index out of range")
-        return sum(lambdas[:i])
+    cum = _cum(lambdas)
 
     tag = dict(stage_plan(spec))[level]
 
@@ -316,9 +314,7 @@ def stage_count_formula(
         y = load + square - cum(s - 2 * fl + 2) - cum(s - 2 * fl + 1)
         y += -cum(gamma + 1 - kappa1 - theta) + omega
     elif tag == STAGE_BREAK_CROSSING:
-        if chain_one(s - kappa + theta) and not (
-            n % 8 == 0 or (n % 8 == 4 and spec.gr.m % 2 == 0)
-        ):
+        if stage_obstruction(spec, n, chain_one) is not None:
             return 0
         if theta == 0:
             omega = 1 if chain_one(s - kappa + 1) else 0
@@ -347,10 +343,6 @@ def stage_count_formula(
 # ---------------------------------------------------------------------------
 
 
-def _teich_vec(spec: ChainRingSpec, fvec: Sequence[int]) -> RVec:
-    return tuple(from_u_adic(spec, (d,)) for d in fvec)
-
-
 def _extend_candidates(
     spec: ChainRingSpec,
     n: int,
@@ -373,39 +365,18 @@ def _extend_candidates(
     bot = gamma + level
     if len(carried) != bot - 1:
         raise ValueError("carried block count does not fit the target level")
-    q = spec.q
     existing_pivots: List[Tuple[int, ...]] = [p for _, p, _ in carried]
     taken = {c for piv in existing_pivots for c in piv}
     free_cols = [c for c in range(n) if c not in taken]
     profile = tuple(len(rows) for rows, _, _ in carried) + (new_count,)
-
-    if new_count == 0:
-        bottom_choices: List[Tuple[Tuple[RVec, ...], Tuple[int, ...]]] = [((), ())]
-    elif new_count > len(free_cols):
-        return
-    else:
-        from .fieldcodes import enumerate_subspaces
-
-        bottom_choices = []
-        for sub in enumerate_subspaces(spec.gr, len(free_cols), new_count):
-            rows = []
-            for frow in sub.rows:
-                full = [0] * n
-                for pos, val in zip(free_cols, frow):
-                    full[pos] = val
-                rows.append(_teich_vec(spec, full))
-            piv = tuple(free_cols[p] for p in sub.pivots)
-            bottom_choices.append((tuple(rows), piv))
-
     digit_templates = [
         [[list(to_u_adic(spec, x)) for x in row] for row in rows]
         for rows, _, _ in carried
     ]
-
-    for bottom_rows, bottom_piv in bottom_choices:
+    for bottom_rows, bottom_piv in bottom_blocks(spec, n, free_cols, new_count):
         pivots_by_block = existing_pivots + [bottom_piv]
         free_rem = [c for c in free_cols if c not in bottom_piv]
-        slots: List[Tuple[int, int, int, int]] = []
+        slots: List[Slot] = []
         for h in range(1, bot):
             rows, _, prec_prev = carried[h - 1]
             prec_new = level - max(0, h - gamma - 1)
@@ -415,35 +386,11 @@ def _extend_candidates(
                     for h2 in range(h + mu + 1, bot + 1):
                         cols.extend(pivots_by_block[h2 - 1])
                     for c in sorted(cols):
-                        slots.append((h, r, mu, c))
-        all_pivots = tuple(existing_pivots) + (bottom_piv,)
-        for assignment in itertools.product(range(q), repeat=len(slots)):
-            filled = [
-                [
-                    [list(ent) for ent in row_digits]
-                    for row_digits in block
-                ]
-                for block in digit_templates
-            ]
-            for (h, r, mu, c), val in zip(slots, assignment):
-                filled[h - 1][r][c][mu] = val
-            blocks: List[Tuple[RVec, ...]] = []
-            for block in filled:
-                blocks.append(
-                    tuple(
-                        tuple(from_u_adic(spec, tuple(ent)) for ent in row)
-                        for row in block
-                    )
-                )
-            blocks.append(bottom_rows)
-            yield RingCode(
-                ring=spec,
-                level=level,
-                n=n,
-                profile=profile,
-                block_rows=tuple(blocks),
-                pivots=all_pivots,
-            )
+                        slots.append((h, r, c, mu))
+        yield from fill_candidates(
+            spec, level, n, profile, tuple(pivots_by_block), digit_templates, slots,
+            bottom_rows,
+        )
 
 
 def _stage_filter(code: RingCode) -> bool:
@@ -465,7 +412,7 @@ def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
     gamma = spec.e // 2 - 1
     mat = chain_matrix(chain)
     carried = [
-        (tuple(_teich_vec(spec, row) for row in rows), piv, 1)
+        (tuple(rv_teich(spec, row) for row in rows), piv, 1)
         for rows, piv in mat
     ]
     for cand in _extend_candidates(spec, chain.n, level, gamma, carried, new_count):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .chain import ChainRingSpec, from_u_adic, to_u_adic
+from .chain import ChainRingSpec, to_u_adic
 from .enumeration import count_so_type
 from .fieldcodes import (
     bilinear_form,
@@ -28,7 +28,10 @@ from .fieldcodes import (
 from .galois import make_galois_ring
 from .ringcodes import (
     RingCode,
+    Slot,
+    bottom_blocks,
     code_signature,
+    fill_candidates,
     is_self_dual_ring,
     is_self_orthogonal_ring,
     satisfies_deep_orthogonality,
@@ -148,12 +151,10 @@ def _matrix_candidates(
     up to duplicate pivot placements (callers dedup by span)."""
     gamma = len(profile) - level
     nblocks = len(profile)
-    profile = tuple(profile)
     for pivots in _pivot_placements(profile, n):
         taken = {c for piv in pivots for c in piv}
         free_cols = [c for c in range(n) if c not in taken]
-        # slots[(h, r)] = list of (column, digit position)
-        slots: List[Tuple[int, int, int, int]] = []
+        slots: List[Slot] = []
         for h in range(1, nblocks + 1):
             prec = level - max(0, h - gamma - 1)
             for r in range(profile[h - 1]):
@@ -164,35 +165,12 @@ def _matrix_candidates(
                     for c in pivots[h2 - 1]:
                         for mu in range(min(prec, h2 - h)):
                             slots.append((h, r, c, mu))
-        base: List[List[List[List[int]]]] = []
-        for h in range(1, nblocks + 1):
-            block = []
-            for r in range(profile[h - 1]):
-                row = [[0] * spec.e for _ in range(n)]
-                row[pivots[h - 1][r]][0] = 1
-                block.append(row)
-            base.append(block)
-        for assignment in itertools.product(range(spec.q), repeat=len(slots)):
-            filled = [
-                [[list(ent) for ent in row] for row in block] for block in base
-            ]
-            for (h, r, c, mu), val in zip(slots, assignment):
-                filled[h - 1][r][c][mu] = val
-            block_rows = tuple(
-                tuple(
-                    tuple(from_u_adic(spec, tuple(ent)) for ent in row)
-                    for row in block
-                )
-                for block in filled
-            )
-            yield RingCode(
-                ring=spec,
-                level=level,
-                n=n,
-                profile=profile,
-                block_rows=block_rows,
-                pivots=pivots,
-            )
+        # every digit zero except a leading 1 at each row's pivot
+        base = [
+            [[[int(c == p)] + [0] * (spec.e - 1) for c in range(n)] for p in piv]
+            for piv in pivots
+        ]
+        yield from fill_candidates(spec, level, n, profile, pivots, base, slots)
 
 
 def enumerate_codes_of_type(
@@ -287,7 +265,7 @@ def brute_force_lift_count(
     profile = prev.profile + (new_count,)
     gamma = len(profile) - level
     member = chain_codes[gamma]
-    slots: List[Tuple[int, int, int, int]] = []
+    slots: List[Slot] = []
     for h in range(1, len(prev.profile) + 1):
         prec_prev = prev.precision(h)
         prec_new = level - max(0, h - gamma - 1)
@@ -299,19 +277,7 @@ def brute_force_lift_count(
     free_cols = [c for c in range(n) if c not in taken]
     if new_count > len(free_cols):
         return 0
-    if new_count == 0:
-        bottoms: List[Tuple[Tuple, Tuple[int, ...]]] = [((), ())]
-    else:
-        bottoms = []
-        for sub in enumerate_subspaces(spec.gr, len(free_cols), new_count):
-            rows = []
-            for frow in sub.rows:
-                full = [0] * n
-                for pos, val in zip(free_cols, frow):
-                    full[pos] = val
-                rows.append(tuple(from_u_adic(spec, (d,)) for d in full))
-            piv = tuple(free_cols[p] for p in sub.pivots)
-            bottoms.append((tuple(rows), piv))
+    bottoms = bottom_blocks(spec, n, free_cols, new_count)
     _check_budget(spec, n, len(bottoms) * spec.q ** len(slots), budget)
     digit_templates = [
         [[list(to_u_adic(spec, x)) for x in row] for row in block]
@@ -321,28 +287,9 @@ def brute_force_lift_count(
     seen = set()
     for bottom_rows, bottom_piv in bottoms:
         pivots = prev.pivots + (bottom_piv,)
-        for assignment in itertools.product(range(spec.q), repeat=len(slots)):
-            filled = [
-                [[list(ent) for ent in row] for row in block]
-                for block in digit_templates
-            ]
-            for (h, r, c, mu), val in zip(slots, assignment):
-                filled[h - 1][r][c][mu] = val
-            block_rows = tuple(
-                tuple(
-                    tuple(from_u_adic(spec, tuple(ent)) for ent in row)
-                    for row in block
-                )
-                for block in filled
-            ) + (bottom_rows,)
-            cand = RingCode(
-                ring=spec,
-                level=level,
-                n=n,
-                profile=profile,
-                block_rows=block_rows,
-                pivots=pivots,
-            )
+        for cand in fill_candidates(
+            spec, level, n, profile, pivots, digit_templates, slots, bottom_rows
+        ):
             if not is_self_orthogonal_ring(cand):
                 continue
             if not satisfies_deep_orthogonality(cand):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .chain import (
     CRElem,
@@ -36,6 +36,7 @@ from .chain import (
     truncate_elem,
     u_valuation,
 )
+from . import fieldcodes
 from .fieldcodes import FieldCode, make_field_code, zero_code
 
 RVec = Tuple[CRElem, ...]
@@ -53,10 +54,6 @@ def rv_zero(spec: ChainRingSpec, n: int) -> RVec:
 
 def rv_add(spec: ChainRingSpec, a: RVec, b: RVec) -> RVec:
     return tuple(cr_add(spec, x, y) for x, y in zip(a, b))
-
-
-def rv_sub(spec: ChainRingSpec, a: RVec, b: RVec) -> RVec:
-    return tuple(cr_sub(spec, x, y) for x, y in zip(a, b))
 
 
 def rv_scale(spec: ChainRingSpec, c: CRElem, v: RVec) -> RVec:
@@ -77,13 +74,6 @@ def rv_truncate(spec: ChainRingSpec, v: RVec, level: int) -> RVec:
 def rv_residue(spec: ChainRingSpec, v: RVec) -> Tuple[int, ...]:
     """Residue-field image of a vector, entrywise (field bitmasks)."""
     return tuple(pi0(spec, x) for x in v)
-
-
-def rv_from_digits(
-    spec: ChainRingSpec, rows: Sequence[Tuple[int, ...]]
-) -> RVec:
-    """Build a vector from per-entry digit tuples."""
-    return tuple(from_u_adic(spec, d) for d in rows)
 
 
 def rv_teich(spec: ChainRingSpec, fvec: Sequence[int]) -> RVec:
@@ -153,6 +143,69 @@ class RingCode:
         """Coarse type of the annihilator dual, by the reversal rule."""
         t = self.level_type
         return (self.n - sum(t),) + tuple(reversed(t[1:]))
+
+
+# ---------------------------------------------------------------------------
+# candidate generator matrices
+# ---------------------------------------------------------------------------
+
+# (block h, row r, column c, digit position mu), h 1-based
+Slot = Tuple[int, int, int, int]
+
+
+def fill_candidates(
+    spec: ChainRingSpec,
+    level: int,
+    n: int,
+    profile: Sequence[int],
+    pivots: Tuple[Tuple[int, ...], ...],
+    templates: Sequence[Sequence[Sequence[Sequence[int]]]],
+    slots: Sequence[Slot],
+    tail: Optional[Tuple[RVec, ...]] = None,
+) -> Iterator[RingCode]:
+    """Every code obtained by writing residue digits into template slots.
+
+    templates[h-1][r][c] lists the u-adic digits of entry c of row r of
+    block h.  Each slot takes every residue digit in turn, the last slot
+    varying fastest; the other digits stay as the template has them.  tail,
+    if given, is appended unchanged as a final block.
+    """
+    profile = tuple(profile)
+    for assignment in itertools.product(range(spec.q), repeat=len(slots)):
+        filled = [[[list(ent) for ent in row] for row in block] for block in templates]
+        for (h, r, c, mu), val in zip(slots, assignment):
+            filled[h - 1][r][c][mu] = val
+        blocks = tuple(
+            tuple(tuple(from_u_adic(spec, tuple(ent)) for ent in row) for row in block)
+            for block in filled
+        )
+        if tail is not None:
+            blocks += (tail,)
+        yield RingCode(
+            ring=spec, level=level, n=n, profile=profile, block_rows=blocks, pivots=pivots
+        )
+
+
+def bottom_blocks(
+    spec: ChainRingSpec, n: int, free_cols: Sequence[int], count: int
+) -> List[Tuple[Tuple[RVec, ...], Tuple[int, ...]]]:
+    """Every count-dimensional subspace of the free columns, as a block.
+
+    Each canonical basis is placed at the free columns and lifted entrywise
+    to Teichmueller digits; returns (rows, pivot columns) per subspace.
+    """
+    out = []
+    # looked up on the module at call time, so a rebinding there (the
+    # benchmark's tracer wraps it) sees every call
+    for sub in fieldcodes.enumerate_subspaces(spec.gr, len(free_cols), count):
+        rows = []
+        for frow in sub.rows:
+            full = [0] * n
+            for pos, val in zip(free_cols, frow):
+                full[pos] = val
+            rows.append(rv_teich(spec, full))
+        out.append((tuple(rows), tuple(free_cols[p] for p in sub.pivots)))
+    return out
 
 
 # ---------------------------------------------------------------------------

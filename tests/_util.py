@@ -10,7 +10,6 @@ from chaincodes.galois import GRSpec
 from chaincodes.oracle import enumerate_codes_of_type
 from chaincodes.ringcodes import RingCode, is_self_orthogonal_ring, make_code
 
-PRESETS = ("R4,1", "R5,1", "R6,2", "R8,2")
 
 
 def all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from chaincodes.chain import (
+    PRESET_NAMES,
     cr_add,
     cr_from_int,
     cr_u_pow,
@@ -62,7 +63,6 @@ from chaincodes.tables import GOLDEN_TABLES
 
 from _util import all_types, random_code, random_field_code, so_pool
 
-PRESET_NAMES = ("R4,1", "R5,1", "R6,2", "R8,2")
 
 
 def test_criterion_01_first_table_closed_forms():

@@ -135,6 +135,30 @@ def test_lift_valid_chain(capsys, tmp_path):
     assert [block["u_power"] for block in gen["blocks"]] == [0, 1, 2, 3]
 
 
+def test_lift_generator_is_pinned(capsys, tmp_path):
+    # the first lift found is user-visible, so the search order is pinned
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_0111))
+    rc, doc, _ = run_json(capsys, "lift", "--chain", str(path))
+    assert rc == 0
+    assert doc["generator"] == {
+        "level": 4,
+        "n": 3,
+        "type": [0, 1, 1, 1],
+        "size": "64",
+        "blocks": [
+            {"u_power": 0, "pivots": [], "rows": []},
+            {
+                "u_power": 1,
+                "pivots": [0],
+                "rows": [[["1", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]]],
+            },
+            {"u_power": 2, "pivots": [2], "rows": [[["0", "0"], ["0", "0"], ["1", "0"]]]},
+            {"u_power": 3, "pivots": [1], "rows": [[["0"], ["1"], ["0"]]]},
+        ],
+    }
+
+
 def test_lift_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(CHAIN_0111)))
     rc, doc, _ = run_json(capsys, "lift", "--chain", "-")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chaincodes.chain import preset
+from chaincodes.chain import PRESET_NAMES, preset
 from chaincodes.enumeration import (
     count_sd_type,
     count_so_type,
@@ -22,7 +22,7 @@ from chaincodes.lifting import (
 )
 from chaincodes.tables import GOLDEN_TABLES
 
-from _util import PRESETS, all_types
+from _util import all_types
 
 
 def test_gaussian_binomial_pins():
@@ -74,7 +74,7 @@ def test_total_count_pins():
 def test_single_coordinate_totals_count_ideals():
     # length 1: the only codes are the ideals, and u^i generates a
     # self-orthogonal one exactly when 2i >= e
-    for name in PRESETS:
+    for name in PRESET_NAMES:
         spec = preset(name)
         want_so = spec.e - (spec.e - spec.e // 2) + 1
         want_sd = 1 if spec.e % 2 == 0 else 0

@@ -2,13 +2,16 @@
 
 import pytest
 
-from chaincodes.chain import preset
+from chaincodes import fieldcodes, lifting, oracle
+from chaincodes.chain import PRESET_NAMES, preset
 from chaincodes.enumeration import count_so_type, sigma, total_counts
 from chaincodes.fieldcodes import make_field_code, zero_code
 from chaincodes.lifting import SOChain, base_lift, lift_once, stage_count_formula
 from chaincodes.oracle import (
     BudgetError,
     OracleBudget,
+    _digit_slots,
+    _matrix_candidates,
     brute_force_code_count,
     brute_force_doubly_even_count,
     brute_force_lift_count,
@@ -144,3 +147,64 @@ def test_lift_recount_odd_depth():
             assert brute_force_lift_count(code, chain.codes, 0) == fast
             total += fast
     assert total == count_so_type(r51, 3, lam) == 72
+
+
+def test_oracle_walk_size_matches_budget_estimate():
+    # the budget check trusts _digit_slots: the walk must yield exactly
+    # placements * q^slots distinct matrices, at full depth and on finer
+    # profiles below it
+    checked = 0
+    for name in PRESET_NAMES:
+        spec = preset(name)
+        for level in (spec.e, spec.e - 2):
+            for n in (1, 2):
+                for lam in all_types(spec.e, n):
+                    slots, placements = _digit_slots(lam, level, n)
+                    want = placements * spec.q**slots
+                    if want > 1500:
+                        continue
+                    seen = set()
+                    for cand in _matrix_candidates(spec, n, lam, level):
+                        assert cand.profile == lam
+                        seen.add((cand.pivots, cand.block_rows))
+                    assert len(seen) == want, (name, level, lam)
+                    checked += 1
+    assert checked > 50
+
+
+def test_traced_names_are_looked_up_at_call_time(monkeypatch):
+    # perfbench/tracer.py rebinds these module attributes; the searches
+    # must call through them rather than through import-time copies
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(lifting, "is_self_orthogonal_ring")
+    counting(lifting, "satisfies_deep_orthogonality")
+    counting(oracle, "is_self_orthogonal_ring")
+    counting(oracle, "is_self_dual_ring")
+    counting(oracle, "code_signature")
+    counting(fieldcodes, "enumerate_subspaces")
+
+    r41 = preset("R4,1")
+    pair = make_field_code(r41.gr, 3, [(1, 1, 0)])
+    chain = SOChain(r41, 3, (zero_code(r41.gr, 3), pair))
+    assert len(list(base_lift(chain, 1))) == 2
+    assert brute_force_code_count(r41, 2, (0, 1, 0, 1), "so") == 2
+    assert brute_force_code_count(r41, 2, (0, 1, 0, 1), "sd") == 2
+    assert set(calls) == {
+        "lifting.is_self_orthogonal_ring",
+        "lifting.satisfies_deep_orthogonality",
+        "oracle.is_self_orthogonal_ring",
+        "oracle.is_self_dual_ring",
+        "oracle.code_signature",
+        "fieldcodes.enumerate_subspaces",
+    }
