@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import (
@@ -425,6 +426,9 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Building the parser costs far more than a closed-form count, so it is
+# built on the first call and kept; importing the module stays cheap.
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaincodes",
@@ -534,9 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

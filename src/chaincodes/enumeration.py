@@ -10,7 +10,7 @@ is supplied by an exhaustive counter behind a pluggable hook.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 from .chain import ChainRingSpec
 from .fieldcodes import sigma_doubly_even
@@ -110,10 +110,11 @@ def so_feasible(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> bool:
     bounds on the upper half of the type.
     """
     _check_type(spec, lambdas)
-    e = spec.e
-    s = e // 2
-    cum = _cum(lambdas)
-    for i in range(s + 1, e + 1):
+    return _feasible(spec.e, n, _cum(lambdas))
+
+
+def _feasible(e: int, n: int, cum: Callable[[int], int]) -> bool:
+    for i in range(e // 2 + 1, e + 1):
         if cum(i) + cum(e - i + 1) > n:
             return False
     return True
@@ -122,8 +123,10 @@ def so_feasible(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> bool:
 def sd_type_shape_ok(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> bool:
     """Whether the type has the palindromic shape self-dual codes need."""
     _check_type(spec, lambdas)
-    e = spec.e
-    cum = _cum(lambdas)
+    return _sd_shape(spec.e, n, lambdas, _cum(lambdas))
+
+
+def _sd_shape(e: int, n: int, lambdas: Sequence[int], cum: Callable[[int], int]) -> bool:
     if lambdas[0] != n - cum(e):
         return False
     for j in range(2, e + 1):
@@ -138,11 +141,17 @@ def sd_type_shape_ok(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> boo
 
 
 def _ratio_product(q: int, n: int, anchor: int, start: int, stop: int, shift: int) -> int:
-    """prod over g in [start, stop) of (q^(n-2g-shift) - 1)/(q^(g+1-anchor) - 1)."""
-    out = 1
+    """prod over g in [start, stop) of (q^(n-2g-shift) - 1)/(q^(g+1-anchor) - 1).
+
+    Only the whole product is an integer, not each factor, so the
+    numerators and denominators are multiplied out before one division.
+    """
+    num = 1
+    den = 1
     for g in range(start, stop):
-        out = out * _exact_div(q ** (n - 2 * g - shift) - 1, q ** (g + 1 - anchor) - 1)
-    return out
+        num *= q ** (n - 2 * g - shift) - 1
+        den *= q ** (g + 1 - anchor) - 1
+    return _exact_div(num, den)
 
 
 def _d_zero(q: int, m: int, n: int, lam: int) -> int:
@@ -210,6 +219,17 @@ def chain_family_counts(
     member (only when the break sits in the upper half).
     """
     _check_type(spec, lambdas)
+    return _family_count(kind, spec, n, lambdas, _cum(lambdas), omega)
+
+
+def _family_count(
+    kind: str,
+    spec: ChainRingSpec,
+    n: int,
+    lambdas: Sequence[int],
+    cum: Callable[[int], int],
+    omega: int = 0,
+) -> int:
     e = spec.e
     s = e // 2
     theta = e % 2
@@ -217,7 +237,6 @@ def chain_family_counts(
     kappa1 = (kappa - 1) // 2
     m = spec.m
     q = spec.q
-    cum = _cum(lambdas)
     anchor = cum(s - kappa1)
     top = cum(s + theta)
 
@@ -299,6 +318,10 @@ def chain_family_counts(
 def b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     """Weighted chain count: each family weighted by its lift multiplier."""
     _check_type(spec, lambdas)
+    return _b_theta(spec, n, lambdas, _cum(lambdas))
+
+
+def _b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int]) -> int:
     e = spec.e
     s = e // 2
     theta = e % 2
@@ -306,19 +329,19 @@ def b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     kappa1 = (kappa - 1) // 2
     q = spec.q
     r8 = n % 8
-    base = chain_family_counts("N", spec, n, lambdas)
+    base = _family_count("N", spec, n, lambdas, cum)
     if r8 in (1, 2, 3, 5, 6, 7):
         return base
     if 2 * kappa <= e:
         total = base
         if _break_crossable(n, spec.m):
-            total += 2 * q**kappa1 * chain_family_counts("M", spec, n, lambdas)
+            total += 2 * q**kappa1 * _family_count("M", spec, n, lambdas, cum)
         for omega in range(0, kappa1 - theta + 1):
-            total += q**omega * chain_family_counts("Y", spec, n, lambdas, omega)
+            total += q**omega * _family_count("Y", spec, n, lambdas, cum, omega)
         return total
-    total = base + q ** (s - kappa1 - 1) * chain_family_counts("Z", spec, n, lambdas)
+    total = base + q ** (s - kappa1 - 1) * _family_count("Z", spec, n, lambdas, cum)
     for omega in range(0, s - kappa1 - 1):
-        total += q**omega * chain_family_counts("Y", spec, n, lambdas, omega)
+        total += q**omega * _family_count("Y", spec, n, lambdas, cum, omega)
     return total
 
 
@@ -327,29 +350,36 @@ def b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lift_exponent(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
+def _sd_exponent(spec: ChainRingSpec, n: int, cum: Callable[[int], int]) -> int:
+    """Exponent of q in the self-dual count; _lift_exponent adds the upper half."""
     e = spec.e
     s = e // 2
     theta = e % 2
     kappa1 = (spec.kappa - 1) // 2
-    cum = _cum(lambdas)
     exp = sum(cum(i) * (n - cum(i + 1)) for i in range(1, s + 1))
-    exp += sum(
-        cum(s + j) * (n - cum(s + j + 1) - cum(s + theta - j))
-        for j in range(1, s + theta)
-    )
     exp -= sum(cum(a) for a in range(1, s - kappa1))
     if theta == 0:
         exp -= cum(s) * (cum(s) - 1) // 2
     return exp
 
 
-def _lift_binomials(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
+def _lift_exponent(spec: ChainRingSpec, n: int, cum: Callable[[int], int]) -> int:
+    e = spec.e
+    s = e // 2
+    theta = e % 2
+    return _sd_exponent(spec, n, cum) + sum(
+        cum(s + j) * (n - cum(s + j + 1) - cum(s + theta - j))
+        for j in range(1, s + theta)
+    )
+
+
+def _lift_binomials(
+    spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int]
+) -> int:
     e = spec.e
     s = e // 2
     theta = e % 2
     q = spec.q
-    cum = _cum(lambdas)
     out = 1
     for lev in range(s + 1 + theta, e + 1):
         out *= gaussian_binomial(
@@ -404,60 +434,88 @@ def per_chain_lift_count(
                 ):
                     mu = omega
                     break
-    exp = _lift_exponent(spec, n, lambdas) + mu
-    return 2**eps * q**exp * _lift_binomials(spec, n, lambdas)
+    cum = _cum(lambdas)
+    exp = _lift_exponent(spec, n, cum) + mu
+    return 2**eps * q**exp * _lift_binomials(spec, n, lambdas, cum)
+
+
+def _so_count(
+    spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int], bt: int
+) -> int:
+    """Self-orthogonal count of a feasible type whose b_theta is bt."""
+    return spec.q ** _lift_exponent(spec, n, cum) * bt * _lift_binomials(spec, n, lambdas, cum)
+
+
+def _sd_count(spec: ChainRingSpec, n: int, cum: Callable[[int], int], bt: int) -> int:
+    """Self-dual count of a feasible, self-dual-shaped type whose b_theta is bt."""
+    return spec.q ** _sd_exponent(spec, n, cum) * bt
 
 
 def count_so_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     """Number of self-orthogonal codes of the given type and length."""
     _check_type(spec, lambdas)
-    if not so_feasible(spec, n, lambdas):
+    cum = _cum(lambdas)
+    if not _feasible(spec.e, n, cum):
         return 0
-    exp = _lift_exponent(spec, n, lambdas)
-    return (
-        spec.q**exp
-        * b_theta(spec, n, lambdas)
-        * _lift_binomials(spec, n, lambdas)
-    )
+    return _so_count(spec, n, lambdas, cum, _b_theta(spec, n, lambdas, cum))
 
 
 def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     """Number of self-dual codes of the given type and length."""
     _check_type(spec, lambdas)
-    if not sd_type_shape_ok(spec, n, lambdas):
+    e = spec.e
+    cum = _cum(lambdas)
+    if not (_sd_shape(e, n, lambdas, cum) and _feasible(e, n, cum)):
         return 0
-    if not so_feasible(spec, n, lambdas):
-        return 0
+    return _sd_count(spec, n, cum, _b_theta(spec, n, lambdas, cum))
+
+
+def _all_types(
+    spec: ChainRingSpec, n: int, feasible_only: bool = False
+) -> Iterator[Tuple[int, ...]]:
+    """Every type with at most n pivots, in lexicographic order.
+
+    feasible_only keeps just the so_feasible types, pruned while they grow:
+    when lambda_i is chosen at an upper-half position i, cum(e-i+1) is
+    already fixed, so cum(i) + cum(e-i+1) <= n caps lambda_i.
+    """
     e = spec.e
     s = e // 2
-    theta = e % 2
-    kappa1 = (spec.kappa - 1) // 2
-    cum = _cum(lambdas)
-    exp = sum(cum(i) * (n - cum(i + 1)) for i in range(1, s + 1))
-    exp -= sum(cum(a) for a in range(1, s - kappa1))
-    if theta == 0:
-        exp -= cum(s) * (cum(s) - 1) // 2
-    return spec.q**exp * b_theta(spec, n, lambdas)
+    lam = [0] * e
+    sums = [0] * (e + 1)
 
-
-def _all_types(spec: ChainRingSpec, n: int) -> Iterable[Tuple[int, ...]]:
-    e = spec.e
-
-    def grow(prefix: List[int], remaining: int) -> Iterable[Tuple[int, ...]]:
-        if len(prefix) == e:
-            yield tuple(prefix)
+    def grow(i: int) -> Iterator[Tuple[int, ...]]:
+        if i > e:
+            yield tuple(lam)
             return
-        for x in range(remaining + 1):
-            yield from grow(prefix + [x], remaining - x)
+        before = sums[i - 1]
+        cap = n - before
+        if feasible_only and i > s:
+            mirror = e - i + 1
+            cap = n // 2 - before if mirror == i else cap - sums[mirror]
+        for x in range(cap + 1):
+            lam[i - 1] = x
+            sums[i] = before + x
+            yield from grow(i + 1)
 
-    yield from grow([], n)
+    yield from grow(1)
 
 
 def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
-    """(total self-orthogonal, total self-dual) over all types of length n."""
+    """(total self-orthogonal, total self-dual) over all types of length n.
+
+    One pass over the so_feasible types; each type's prefix sums and
+    b_theta serve both its self-orthogonal and its self-dual term.
+    """
+    e = spec.e
     total_so = 0
     total_sd = 0
-    for lambdas in _all_types(spec, n):
-        total_so += count_so_type(spec, n, lambdas)
-        total_sd += count_sd_type(spec, n, lambdas)
+    for lambdas in _all_types(spec, n, feasible_only=True):
+        cum = _cum(lambdas)
+        bt = _b_theta(spec, n, lambdas, cum)
+        if not bt:
+            continue
+        total_so += _so_count(spec, n, lambdas, cum, bt)
+        if _sd_shape(e, n, lambdas, cum):
+            total_sd += _sd_count(spec, n, cum, bt)
     return total_so, total_sd

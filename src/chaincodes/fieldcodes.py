@@ -211,12 +211,15 @@ def enumerate_extensions(code: FieldCode, d: int) -> Iterator[FieldCode]:
             yield cand
 
 
-@lru_cache(maxsize=None)
+# one small spec per field degree; few degrees occur in one process
+@lru_cache(maxsize=16)
 def _field_spec(m: int) -> GRSpec:
     return make_galois_ring(2, m)
 
 
-@lru_cache(maxsize=None)
+# Values cost up to minutes each, so the bound sits far above the few
+# hundred (n, d, m, with_one) keys that desk-scale lengths produce.
+@lru_cache(maxsize=1024)
 def sigma_doubly_even(n: int, d: int, m: int, with_one: bool) -> int:
     """Number of doubly even [n, d] codes over F_{2^m} with / without the all-one word.
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from chaincodes import cli
 from chaincodes.cli import main
 from chaincodes.tables import GOLDEN_TABLES
 
@@ -291,3 +292,44 @@ def test_budget_override_admits_longer_lengths(capsys):
     assert rc == 0
     assert doc["closed_form"] == "63"
     assert doc["match"] is True
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            run(capsys, "count", "--preset", "R4,1", "--n", "3", "--type", "0,1,0,0")
+        run(capsys, "total", "--preset", "R4,1", "--n", "2")
+        run(capsys, "nonsense")
+        assert cli._build_parser.cache_info().misses == 1
+    finally:
+        cli._build_parser.cache_clear()
+
+
+_REUSE_SEQUENCE = [
+    ("count", "--preset", "R4,1", "--n", "3", "--type", "0,1,0,0", "--format", "csv"),
+    ("count", "--preset", "R4,1", "--n", "3"),
+    ("count", "--preset", "R4,1", "--n", "3", "--type", "0,1,0,0"),
+    ("ring-info", "--preset", "R5,1", "--format", "csv"),
+    ("count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1", "--self-dual"),
+]
+
+
+def test_reused_parser_answers_like_fresh_ones(capsys):
+    def outputs(fresh):
+        got = []
+        for argv in _REUSE_SEQUENCE:
+            if fresh:
+                cli._build_parser.cache_clear()
+            got.append(run(capsys, *argv))
+        return got
+
+    try:
+        fresh = outputs(fresh=True)
+        cli._build_parser.cache_clear()
+        reused = outputs(fresh=False)
+    finally:
+        cli._build_parser.cache_clear()
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 0, 0]
+    assert fresh[1][2].startswith("usage: chaincodes count")

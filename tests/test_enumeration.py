@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from chaincodes.chain import PRESET_NAMES, preset
+from chaincodes.chain import PRESET_NAMES, parse_ring_spec, preset
 from chaincodes.enumeration import (
+    _all_types,
     count_sd_type,
     count_so_type,
     gaussian_binomial,
@@ -142,6 +143,45 @@ def test_type_count_decomposes_over_chains(name, n):
     spec = preset(name)
     for lam in all_types(spec.e, n):
         assert _count_via_chains(spec, n, lam) == count_so_type(spec, n, lam), lam
+
+
+@pytest.mark.parametrize(
+    "name,lam,count",
+    [
+        ("R4,1", (0, 3, 0, 0), 283_115_520),
+        ("CR(2^2,1;5,2;1)", (0, 0, 0, 3, 2, 0, 1), 29_727_129_600),
+        ("R5,1", (0, 0, 3, 4, 0), 135),
+        ("R5,1", (0, 3, 0, 0, 4), 4_423_680),
+    ],
+)
+def test_length_seven_counts_decompose_over_chains(name, lam, count):
+    # these types need the ratio product divided once as a whole: its
+    # single factors are not integers
+    spec = parse_ring_spec(name) if name.startswith("CR(") else preset(name)
+    assert count_so_type(spec, 7, lam) == count
+    assert _count_via_chains(spec, 7, lam) == count
+
+
+# the CLI-nameable rings of the closed-form benchmark stream besides the presets
+_CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [preset(name) for name in PRESET_NAMES] + [parse_ring_spec(r) for r in _CR_RINGS],
+    ids=list(PRESET_NAMES) + list(_CR_RINGS),
+)
+def test_total_counts_equals_per_type_sums(spec):
+    for n in range(1, 7):
+        types = list(all_types(spec.e, n))
+        assert list(_all_types(spec, n)) == types
+        assert list(_all_types(spec, n, feasible_only=True)) == [
+            lam for lam in types if so_feasible(spec, n, lam)
+        ]
+        assert total_counts(spec, n) == (
+            sum(count_so_type(spec, n, lam) for lam in types),
+            sum(count_sd_type(spec, n, lam) for lam in types),
+        ), n
 
 
 def test_walkthrough_chain_total_is_stage_product():
