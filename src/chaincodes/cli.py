@@ -282,15 +282,22 @@ def _parse_chain_file(path: str) -> Tuple[ChainRingSpec, int, Tuple[int, ...], S
         for row in rows_raw:
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise ValueError("chain member rows must be length-n arrays")
-            rows.append(
-                tuple(
-                    entry if isinstance(entry, int) else parse_field_elem(spec.gr, entry)
-                    for entry in row
-                )
-            )
+            rows.append(tuple(_member_entry(spec, entry) for entry in row))
         members.append(make_field_code(spec.gr, n, rows))
     chain = SOChain(ring=spec, n=n, codes=tuple(members))
     return spec, n, lambdas, chain
+
+
+def _member_entry(spec: ChainRingSpec, entry: object) -> int:
+    """A chain member entry: a field bitmask in range(q), or field notation."""
+    if isinstance(entry, str):
+        return parse_field_elem(spec.gr, entry)
+    if isinstance(entry, int) and not isinstance(entry, bool) and 0 <= entry < spec.q:
+        return entry
+    raise ValueError(
+        f"chain member entry {entry!r} is not an element of the residue field of "
+        f"size {spec.q} (an integer bitmask below {spec.q} or a string such as \"ξ^2\")"
+    )
 
 
 def _generator_payload(code: RingCode) -> Dict[str, object]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .chain import ChainRingSpec, to_u_adic
+from .chain import ChainRingSpec
 from .enumeration import _break_crossable, _cum, gaussian_binomial
 from .fieldcodes import (
     FieldCode,
@@ -369,10 +369,7 @@ def _extend_candidates(
     taken = {c for piv in existing_pivots for c in piv}
     free_cols = [c for c in range(n) if c not in taken]
     profile = tuple(len(rows) for rows, _, _ in carried) + (new_count,)
-    digit_templates = [
-        [[list(to_u_adic(spec, x)) for x in row] for row in rows]
-        for rows, _, _ in carried
-    ]
+    templates = [rows for rows, _, _ in carried]
     for bottom_rows, bottom_piv in bottom_blocks(spec, n, free_cols, new_count):
         pivots_by_block = existing_pivots + [bottom_piv]
         free_rem = [c for c in free_cols if c not in bottom_piv]
@@ -388,7 +385,7 @@ def _extend_candidates(
                     for c in sorted(cols):
                         slots.append((h, r, c, mu))
         yield from fill_candidates(
-            spec, level, n, profile, tuple(pivots_by_block), digit_templates, slots,
+            spec, level, n, profile, tuple(pivots_by_block), templates, slots,
             bottom_rows,
         )
 

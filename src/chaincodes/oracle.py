@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .chain import ChainRingSpec, to_u_adic
+from .chain import ChainRingSpec
 from .enumeration import count_so_type
 from .fieldcodes import (
     bilinear_form,
@@ -165,11 +165,8 @@ def _matrix_candidates(
                     for c in pivots[h2 - 1]:
                         for mu in range(min(prec, h2 - h)):
                             slots.append((h, r, c, mu))
-        # every digit zero except a leading 1 at each row's pivot
-        base = [
-            [[[int(c == p)] + [0] * (spec.e - 1) for c in range(n)] for p in piv]
-            for piv in pivots
-        ]
+        # every entry zero except a 1 at each row's pivot
+        base = [[[int(c == p) for c in range(n)] for p in piv] for piv in pivots]
         yield from fill_candidates(spec, level, n, profile, pivots, base, slots)
 
 
@@ -279,16 +276,12 @@ def brute_force_lift_count(
         return 0
     bottoms = bottom_blocks(spec, n, free_cols, new_count)
     _check_budget(spec, n, len(bottoms) * spec.q ** len(slots), budget)
-    digit_templates = [
-        [[list(to_u_adic(spec, x)) for x in row] for row in block]
-        for block in prev.block_rows
-    ]
     prev_sig = code_signature(prev)
     seen = set()
     for bottom_rows, bottom_piv in bottoms:
         pivots = prev.pivots + (bottom_piv,)
         for cand in fill_candidates(
-            spec, level, n, profile, pivots, digit_templates, slots, bottom_rows
+            spec, level, n, profile, pivots, prev.block_rows, slots, bottom_rows
         ):
             if not is_self_orthogonal_ring(cand):
                 continue

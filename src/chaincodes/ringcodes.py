@@ -28,11 +28,11 @@ from .chain import (
     cr_mul,
     cr_neg,
     cr_sub,
+    cr_u_pow,
     cr_zero,
     from_u_adic,
     pi,
     pi0,
-    to_u_adic,
     truncate_elem,
     u_valuation,
 )
@@ -48,27 +48,25 @@ RVec = Tuple[CRElem, ...]
 
 
 def rv_zero(spec: ChainRingSpec, n: int) -> RVec:
-    z = cr_zero(spec)
-    return tuple(z for _ in range(n))
+    return (cr_zero(spec),) * n
 
 
 def rv_add(spec: ChainRingSpec, a: RVec, b: RVec) -> RVec:
-    return tuple(cr_add(spec, x, y) for x, y in zip(a, b))
+    return tuple(map(spec.ops.add, a, b))
 
 
 def rv_scale(spec: ChainRingSpec, c: CRElem, v: RVec) -> RVec:
-    return tuple(cr_mul(spec, c, x) for x in v)
+    mul = spec.ops.mul
+    return tuple(mul(c, x) for x in v)
 
 
 def rv_dot(spec: ChainRingSpec, a: RVec, b: RVec) -> CRElem:
-    acc = cr_zero(spec)
-    for x, y in zip(a, b):
-        acc = cr_add(spec, acc, cr_mul(spec, x, y))
-    return acc
+    return spec.ops.dot(a, b)
 
 
 def rv_truncate(spec: ChainRingSpec, v: RVec, level: int) -> RVec:
-    return tuple(truncate_elem(spec, x, level) for x in v)
+    keep = truncate_elem(spec, -1, level)  # the digits below level, all set
+    return tuple(x & keep for x in v)
 
 
 def rv_residue(spec: ChainRingSpec, v: RVec) -> Tuple[int, ...]:
@@ -134,8 +132,9 @@ class RingCode:
 
     def rows_with_powers(self) -> Iterator[Tuple[RVec, int]]:
         """All (unscaled row, scale exponent) pairs, top block first."""
+        gamma = self.gamma
         for h, rows in enumerate(self.block_rows, start=1):
-            p = self.u_power(h)
+            p = max(0, h - gamma - 1)  # u_power(h)
             for w in rows:
                 yield w, p
 
@@ -159,30 +158,38 @@ def fill_candidates(
     n: int,
     profile: Sequence[int],
     pivots: Tuple[Tuple[int, ...], ...],
-    templates: Sequence[Sequence[Sequence[Sequence[int]]]],
+    templates: Sequence[Sequence[RVec]],
     slots: Sequence[Slot],
     tail: Optional[Tuple[RVec, ...]] = None,
 ) -> Iterator[RingCode]:
     """Every code obtained by writing residue digits into template slots.
 
-    templates[h-1][r][c] lists the u-adic digits of entry c of row r of
-    block h.  Each slot takes every residue digit in turn, the last slot
+    templates[h-1][r][c] is entry c of row r of block h.  Each slot takes
+    every residue digit in turn at its digit position mu, the last slot
     varying fastest; the other digits stay as the template has them.  tail,
-    if given, is appended unchanged as a final block.
+    if given, is appended unchanged as a final block.  Only the rows that
+    slots write are rebuilt per candidate.
     """
     profile = tuple(profile)
+    m, digit = spec.m, spec.q - 1
+    cleared = [[list(row) for row in block] for block in templates]
+    for h, r, c, mu in slots:
+        cleared[h - 1][r][c] &= ~(digit << (m * mu))
+    blocks = [[tuple(row) for row in block] for block in cleared]
+    written = sorted({(h, r) for h, r, _, _ in slots})
+    index = {key: k for k, key in enumerate(written)}
+    writes = [(index[h, r], c, m * mu) for h, r, c, mu in slots]
     for assignment in itertools.product(range(spec.q), repeat=len(slots)):
-        filled = [[[list(ent) for ent in row] for row in block] for block in templates]
-        for (h, r, c, mu), val in zip(slots, assignment):
-            filled[h - 1][r][c][mu] = val
-        blocks = tuple(
-            tuple(tuple(from_u_adic(spec, tuple(ent)) for ent in row) for row in block)
-            for block in filled
-        )
+        rows = [list(cleared[h - 1][r]) for h, r in written]
+        for (k, c, shift), val in zip(writes, assignment):
+            rows[k][c] |= val << shift
+        for (h, r), row in zip(written, rows):
+            blocks[h - 1][r] = tuple(row)
+        filled = tuple(tuple(block) for block in blocks)
         if tail is not None:
-            blocks += (tail,)
+            filled += (tail,)
         yield RingCode(
-            ring=spec, level=level, n=n, profile=profile, block_rows=blocks, pivots=pivots
+            ring=spec, level=level, n=n, profile=profile, block_rows=filled, pivots=pivots
         )
 
 
@@ -262,9 +269,7 @@ def standard_form(
             ri, c = found
             row = work[ri]
             # normalize: row[c] = u^v * unit, divide the row by the unit
-            digs = to_u_adic(spec, row[c])
-            unit = from_u_adic(spec, digs[v:])
-            inv = cr_inv(spec, unit)
+            inv = cr_inv(spec, row[c] >> (spec.m * v))
             work[ri] = [
                 truncate_elem(spec, cr_mul(spec, inv, x), level) for x in row
             ]
@@ -273,8 +278,7 @@ def standard_form(
             for rj, other in enumerate(work):
                 if rj == ri:
                     continue
-                d = to_u_adic(spec, other[c])
-                q = from_u_adic(spec, d[v:])
+                q = other[c] >> (spec.m * v)  # digits >= v, shifted down
                 if q == cr_zero(spec):
                     continue
                 work[rj] = [
@@ -296,11 +300,7 @@ def standard_form(
     blocks: List[List[RVec]] = [[] for _ in range(level)]
     pivots: List[List[int]] = [[] for _ in range(level)]
     for v, c, ri in placed:
-        digits_rows = []
-        for x in work[ri]:
-            d = to_u_adic(spec, x)
-            digits_rows.append(from_u_adic(spec, d[v:]))
-        blocks[v].append(tuple(digits_rows))
+        blocks[v].append(tuple(x >> (spec.m * v) for x in work[ri]))
         pivots[v].append(c)
         profile[v] += 1
     perm = [c for _, c, _ in placed] + [
@@ -330,11 +330,7 @@ def scaled_generators(code: RingCode) -> List[RVec]:
     spec = code.ring
     out = []
     for w, p in code.rows_with_powers():
-        up = from_u_adic(spec, (0,) * p + (1,)) if p else None
-        if p:
-            out.append(rv_truncate(spec, rv_scale(spec, up, w), code.level))
-        else:
-            out.append(rv_truncate(spec, w, code.level))
+        out.append(rv_truncate(spec, rv_scale(spec, cr_u_pow(spec, p), w), code.level))
     return out
 
 
@@ -368,24 +364,17 @@ def enumerate_codewords(code: RingCode) -> Iterator[RVec]:
     spec = code.ring
     level = code.level
     words: List[RVec] = [rv_zero(spec, code.n)]
-    qm = spec.q
     for h, rows in enumerate(code.block_rows, start=1):
         p = code.u_power(h)
-        prec = code.precision(h)
+        # every coefficient with prec digits, the last digit varying fastest
+        coeffs = [0]
+        for shift in range(0, spec.m * code.precision(h), spec.m):
+            coeffs = [r | d << shift for r in coeffs for d in range(spec.q)]
         for w in rows:
-            scaled = rv_truncate(
-                spec,
-                rv_scale(spec, from_u_adic(spec, (0,) * p + (1,)), w)
-                if p
-                else w,
-                level,
-            )
-            multiples = []
-            for digs in itertools.product(range(qm), repeat=prec):
-                r = from_u_adic(spec, tuple(digs))
-                multiples.append(
-                    rv_truncate(spec, rv_scale(spec, r, scaled), level)
-                )
+            scaled = rv_truncate(spec, rv_scale(spec, cr_u_pow(spec, p), w), level)
+            multiples = [
+                rv_truncate(spec, rv_scale(spec, r, scaled), level) for r in coeffs
+            ]
             words = [
                 rv_add(spec, acc, mult) for acc in words for mult in multiples
             ]
@@ -469,6 +458,7 @@ def is_self_orthogonal_ring(code: RingCode) -> bool:
     digit of a.b below level - pa - pb must vanish.
     """
     spec = code.ring
+    dot = spec.ops.dot
     rows = list(code.rows_with_powers())
     lev = code.level
     for i, (a, pa) in enumerate(rows):
@@ -476,7 +466,7 @@ def is_self_orthogonal_ring(code: RingCode) -> bool:
             need = lev - pa - pb
             if need <= 0:
                 continue
-            if u_valuation(spec, rv_dot(spec, a, b)) < need:
+            if u_valuation(spec, dot(a, b)) < need:
                 return False
     return True
 

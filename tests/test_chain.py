@@ -6,13 +6,11 @@ import pytest
 
 from chaincodes.chain import (
     cr_add,
-    cr_add_at,
     cr_div_u,
     cr_from_int,
     cr_inv,
     cr_is_unit,
     cr_mul,
-    cr_mul_at,
     cr_neg,
     cr_one,
     cr_pow,
@@ -27,12 +25,22 @@ from chaincodes.chain import (
     pi,
     pi0,
     preset,
-    teich_elem,
     to_u_adic,
     truncate_elem,
     two_unit_digits,
     u_valuation,
 )
+from chaincodes.chain import (  # the private reference arithmetic
+    _TABLE_MAX,
+    _ref_add,
+    _ref_from_int,
+    _ref_mul,
+    _ref_neg,
+    _ref_to_int,
+)
+
+# the ring with residue field of size 8 that closed_form counts on: |R| = 2^24
+M3_RING = dict(s=3, m=3, kappa=3, t=2, modulus=(1, 1, 0, 1))
 
 PRESET_PARAMS = {
     "R4,1": (2, 1, 3, 1, 4),
@@ -170,14 +178,16 @@ def test_units_and_inverses():
 
 
 def test_teichmuller_digits_multiply():
+    # T(c) T(d) = T(cd): the kernel's carry-free digit products rely on it
     spec = preset("R8,2")
     from chaincodes.galois import field_mul
 
     for c in range(spec.q):
-        assert pi0(spec, teich_elem(spec, c)) == c
+        tc = from_u_adic(spec, (c,))
+        assert pi0(spec, tc) == c
         for d in range(spec.q):
-            lhs = cr_mul(spec, teich_elem(spec, c), teich_elem(spec, d))
-            assert lhs == teich_elem(spec, field_mul(spec.gr, c, d))
+            lhs = cr_mul(spec, tc, from_u_adic(spec, (d,)))
+            assert lhs == from_u_adic(spec, (field_mul(spec.gr, c, d),))
 
 
 def test_pi_reads_single_digits():
@@ -208,18 +218,18 @@ def test_div_u_shifts_digits():
 
 
 def test_level_ops_match_truncated_full_ops():
+    # truncation to R_level is a ring homomorphism
     spec = preset("R8,2")
     rng = random.Random(6)
     for _ in range(50):
         a = from_u_adic(spec, tuple(rng.randrange(spec.q) for _ in range(spec.e)))
         b = from_u_adic(spec, tuple(rng.randrange(spec.q) for _ in range(spec.e)))
         for level in (2, 4, 6):
-            assert cr_add_at(spec, level, a, b) == truncate_elem(
-                spec, cr_add(spec, a, b), level
-            )
-            assert cr_mul_at(spec, level, a, b) == truncate_elem(
-                spec, cr_mul(spec, truncate_elem(spec, a, level), b), level
-            )
+            ta, tb = truncate_elem(spec, a, level), truncate_elem(spec, b, level)
+            for op in (cr_add, cr_mul):
+                assert truncate_elem(spec, op(spec, a, b), level) == truncate_elem(
+                    spec, op(spec, ta, tb), level
+                )
 
 
 def test_ring_spec_round_trip():
@@ -239,3 +249,89 @@ def test_ring_spec_round_trip():
         parse_ring_spec("CR(2^2,1)")
     with pytest.raises(ValueError):
         parse_ring_spec("GR(2^2,1;3,1;1)")
+
+
+# ---------------------------------------------------------------------------
+# the element kernel against the nested-tuple reference arithmetic
+# ---------------------------------------------------------------------------
+
+GRID_RINGS = ("R4,1", "R5,1", "CR(2^2,1;5,2;1)", "CR(2^2,2;3,1;1)")
+
+
+def _ring(label):
+    return preset(label) if label in PRESET_PARAMS else parse_ring_spec(label)
+
+
+@pytest.mark.parametrize("label", GRID_RINGS)
+def test_kernel_matches_reference_on_every_pair(label):
+    spec = _ring(label)
+    size = spec.size()
+    assert size <= 256
+    refs = [_ref_from_int(spec, a) for a in range(size)]
+    assert [_ref_to_int(spec, r) for r in refs] == list(range(size))
+    ops = spec.ops
+    for a in range(size):
+        assert refs[ops.neg(a)] == _ref_neg(spec, refs[a])
+        for b in range(size):
+            assert refs[ops.add(a, b)] == _ref_add(spec, refs[a], refs[b])
+            assert refs[ops.mul(a, b)] == _ref_mul(spec, refs[a], refs[b])
+
+
+@pytest.mark.parametrize("label, samples", [("R6,2", 300), ("R8,2", 300), ("m=3", 25)])
+def test_kernel_matches_reference_on_samples(label, samples):
+    spec = make_ring(**M3_RING) if label == "m=3" else preset(label)
+    assert (spec.size() > _TABLE_MAX) == (label == "m=3")  # the m=3 ring has no tables
+    rng = random.Random(2024)
+    size = spec.size()
+    if size <= _TABLE_MAX:  # digit index -> coordinates -> digit index is the identity
+        assert all(spec.ops.add(a, 0) == a for a in range(size))
+    from chaincodes.galois import field_mul
+
+    for c in range(spec.q):
+        for d in range(spec.q):
+            lhs = cr_mul(spec, from_u_adic(spec, (c,)), from_u_adic(spec, (d,)))
+            assert lhs == from_u_adic(spec, (field_mul(spec.gr, c, d),))
+
+    def ref(op, *args):
+        return _ref_to_int(spec, op(spec, *(_ref_from_int(spec, x) for x in args)))
+
+    for _ in range(samples):
+        a, b, c = (rng.randrange(size) for _ in range(3))
+        assert cr_add(spec, a, b) == ref(_ref_add, a, b)
+        assert cr_mul(spec, a, b) == ref(_ref_mul, a, b)
+        assert cr_neg(spec, a) == ref(_ref_neg, a)
+        assert cr_mul(spec, a, cr_add(spec, b, c)) == cr_add(
+            spec, cr_mul(spec, a, b), cr_mul(spec, a, c)
+        )
+        if cr_is_unit(spec, a):
+            assert cr_mul(spec, a, cr_inv(spec, a)) == cr_one(spec)
+        xs = [rng.randrange(size) for _ in range(3)]
+        ys = [rng.randrange(size) for _ in range(3)]
+        want = 0
+        for x, y in zip(xs, ys):
+            want = cr_add(spec, want, cr_mul(spec, x, y))
+        assert spec.ops.dot(xs, ys) == want
+
+
+def test_ring_construction_builds_no_kernel():
+    import tracemalloc
+
+    for build in (lambda: preset("R8,2"), lambda: make_ring(**M3_RING)):
+        tracemalloc.start()
+        try:
+            spec = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        assert "ops" not in vars(spec)
+
+
+def test_from_u_adic_rejects_digits_outside_the_field():
+    r41, r62 = preset("R4,1"), preset("R6,2")
+    for spec, digits in ((r41, (2,)), (r62, (5,)), (r62, (1, 4)), (r41, (-1,))):
+        with pytest.raises(ValueError, match="outside the residue field"):
+            from_u_adic(spec, digits)
+    # digits at positions >= e vanish, since u^e = 0
+    assert from_u_adic(r41, (1, 0, 0, 0, 1)) == from_u_adic(r41, (1,))
+    assert from_u_adic(r62, (0,) * 6 + (3,)) == cr_zero(r62)

@@ -186,6 +186,19 @@ def test_lift_integer_member_rows(capsys, tmp_path):
     assert doc["generator"]["size"] == "64"
 
 
+@pytest.mark.parametrize("entry", [3, 2, -1, True, None, 1.0])
+def test_lift_rejects_entries_outside_the_residue_field(capsys, tmp_path, entry):
+    # R4,1 has the residue field F_2: only 0 and 1 (or "0", "1") are entries
+    doc_in = dict(CHAIN_0111, members=[[], [[entry, 1, 0]]])
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc_in))
+    rc, out, err = run(capsys, "lift", "--chain", str(path))
+    assert rc == 2
+    assert out == ""
+    assert f"chain member entry {entry!r} " in err
+    assert "Traceback" not in err
+
+
 def test_lift_malformed_member_row_exits_two(capsys, tmp_path):
     doc_in = dict(CHAIN_0111, members=[[], [6]])
     path = tmp_path / "mask.json"
