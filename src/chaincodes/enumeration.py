@@ -3,9 +3,12 @@
 Everything here is exact integer arithmetic.  The per-type counts factor
 as (number of admissible residue-field chains) x (lifts per chain); both
 factors are evaluated from their closed forms, with the chain-family
-counts split by where the all-one word enters the chain.  The number of
-doubly even field codes of a given dimension has no closed form here and
-is supplied by an exhaustive counter behind a pluggable hook.
+counts split by where the all-one word enters the chain.  The chain count
+depends only on the head lambda_1..lambda_ceil(e/2) of a type, so
+total_counts evaluates it once per head and sums the upper-half lift
+factors over the head's completions.  The number of doubly even field
+codes of a given dimension has no closed form here and is supplied by an
+exhaustive counter behind a pluggable hook.
 """
 
 from __future__ import annotations
@@ -113,11 +116,26 @@ def so_feasible(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> bool:
     return _feasible(spec.e, n, _cum(lambdas))
 
 
+def _room(e: int, n: int, cum: Callable[[int], int], i: int) -> int:
+    """Largest lambda_i a self-orthogonal type allows once lambda_1..lambda_(i-1) are fixed.
+
+    The cap rule: at an upper-half position i (i > e//2) scale i pairs with
+    its mirror e-i+1, so cum(i) + cum(e-i+1) <= n; below the middle only
+    cum(i) <= n binds.
+    """
+    before = cum(i - 1)
+    mirror = e - i + 1
+    if mirror > i:
+        return n - before
+    if mirror == i:
+        return n // 2 - before
+    return n - before - cum(mirror)
+
+
 def _feasible(e: int, n: int, cum: Callable[[int], int]) -> bool:
-    for i in range(e // 2 + 1, e + 1):
-        if cum(i) + cum(e - i + 1) > n:
-            return False
-    return True
+    return all(
+        cum(i) - cum(i - 1) <= _room(e, n, cum, i) for i in range(e // 2 + 1, e + 1)
+    )
 
 
 def sd_type_shape_ok(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> bool:
@@ -439,13 +457,6 @@ def per_chain_lift_count(
     return 2**eps * q**exp * _lift_binomials(spec, n, lambdas, cum)
 
 
-def _so_count(
-    spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int], bt: int
-) -> int:
-    """Self-orthogonal count of a feasible type whose b_theta is bt."""
-    return spec.q ** _lift_exponent(spec, n, cum) * bt * _lift_binomials(spec, n, lambdas, cum)
-
-
 def _sd_count(spec: ChainRingSpec, n: int, cum: Callable[[int], int], bt: int) -> int:
     """Self-dual count of a feasible, self-dual-shaped type whose b_theta is bt."""
     return spec.q ** _sd_exponent(spec, n, cum) * bt
@@ -457,7 +468,8 @@ def count_so_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     cum = _cum(lambdas)
     if not _feasible(spec.e, n, cum):
         return 0
-    return _so_count(spec, n, lambdas, cum, _b_theta(spec, n, lambdas, cum))
+    bt = _b_theta(spec, n, lambdas, cum)
+    return spec.q ** _lift_exponent(spec, n, cum) * bt * _lift_binomials(spec, n, lambdas, cum)
 
 
 def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
@@ -470,52 +482,80 @@ def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     return _sd_count(spec, n, cum, _b_theta(spec, n, lambdas, cum))
 
 
-def _all_types(
-    spec: ChainRingSpec, n: int, feasible_only: bool = False
-) -> Iterator[Tuple[int, ...]]:
-    """Every type with at most n pivots, in lexicographic order.
-
-    feasible_only keeps just the so_feasible types, pruned while they grow:
-    when lambda_i is chosen at an upper-half position i, cum(e-i+1) is
-    already fixed, so cum(i) + cum(e-i+1) <= n caps lambda_i.
-    """
+def _all_types(spec: ChainRingSpec, n: int) -> Iterator[Tuple[int, ...]]:
+    """Every type with at most n pivots, in lexicographic order."""
     e = spec.e
-    s = e // 2
     lam = [0] * e
-    sums = [0] * (e + 1)
 
-    def grow(i: int) -> Iterator[Tuple[int, ...]]:
-        if i > e:
+    def grow(i: int, left: int) -> Iterator[Tuple[int, ...]]:
+        if i == e:
             yield tuple(lam)
             return
-        before = sums[i - 1]
-        cap = n - before
-        if feasible_only and i > s:
-            mirror = e - i + 1
-            cap = n // 2 - before if mirror == i else cap - sums[mirror]
-        for x in range(cap + 1):
-            lam[i - 1] = x
-            sums[i] = before + x
-            yield from grow(i + 1)
+        for x in range(left + 1):
+            lam[i] = x
+            yield from grow(i + 1, left - x)
 
-    yield from grow(1)
+    yield from grow(0, n)
 
 
 def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
     """(total self-orthogonal, total self-dual) over all types of length n.
 
-    One pass over the so_feasible types; each type's prefix sums and
-    b_theta serve both its self-orthogonal and its self-dual term.
+    The types are walked as a tree.  b_theta depends only on the head
+    lambda_1..lambda_h, h = ceil(e/2), so it is evaluated once per head
+    with a feasible completion; the upper-half lift factors are multiplied
+    in as each position is chosen and summed over the completions.  A head
+    has at most one self-dual completion: its palindrome.
     """
-    e = spec.e
-    total_so = 0
-    total_sd = 0
-    for lambdas in _all_types(spec, n, feasible_only=True):
-        cum = _cum(lambdas)
-        bt = _b_theta(spec, n, lambdas, cum)
+    e, s, q = spec.e, spec.e // 2, spec.q
+    h = e - s
+    lam = [0] * e
+    sums = [0] * (e + 1)
+
+    def cum(i: int) -> int:
+        return sums[i] if i > 0 else 0
+
+    def upper(i: int) -> int:
+        # sum over lambda_i..lambda_e of the factors of positions i..e; the
+        # lift binomial [lambda_i + n - cum(i) - cum(e+1-i), lambda_i]_q is
+        # [room, x]_q, stepped along x by the q-Pascal ratio
+        before = sums[i - 1]
+        room = _room(e, n, cum, i)
+        binom, out = 1, 0
+        for x in range(room + 1):
+            sums[i] = before + x
+            # the self-dual exponent is complete at s+1; above it each
+            # position adds cum(i-1) * (n - cum(i) - cum(e+1-i))
+            exp = _sd_exponent(spec, n, cum) if i == s + 1 else before * (room - x)
+            out += binom * q**exp * (upper(i + 1) if i < e else 1)
+            binom = binom * (q ** (room - x) - 1) // (q ** (x + 1) - 1)
+        return out
+
+    def heads(i: int) -> Iterator[None]:
+        if i > h:
+            yield
+            return
+        for x in range(_room(e, n, cum, i) + 1):
+            lam[i - 1] = x
+            sums[i] = sums[i - 1] + x
+            yield from heads(i + 1)
+
+    total_so = total_sd = 0
+    for _ in heads(1):
+        if _room(e, n, cum, h + 1) < 0:
+            continue
+        bt = _b_theta(spec, n, lam, cum)
         if not bt:
             continue
-        total_so += _so_count(spec, n, lambdas, cum, bt)
-        if _sd_shape(e, n, lambdas, cum):
-            total_sd += _sd_count(spec, n, cum, bt)
+        head = lam[:h]
+        # lambda_j = lambda_(e-j+2) for j >= 2; at even e the middle entry
+        # lambda_(s+1) takes what lambda_1 = n - cum(e) leaves
+        pal = head + ([n - 2 * sums[s]] if h == s else []) + head[:0:-1]
+        pal_cum = _cum(pal)
+        if min(pal) >= 0 and _sd_shape(e, n, pal, pal_cum) and _feasible(e, n, pal_cum):
+            total_sd += _sd_count(spec, n, pal_cum, bt)
+        so = bt * (upper(h + 1) if h < e else 1)
+        if h > s:
+            so *= q ** _sd_exponent(spec, n, cum)
+        total_so += so
     return total_so, total_sd

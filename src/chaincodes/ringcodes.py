@@ -378,6 +378,9 @@ def enumerate_codewords(code: RingCode) -> Iterator[RVec]:
             words = [
                 rv_add(spec, acc, mult) for acc in words for mult in multiples
             ]
+    if level < spec.e:
+        # sums in R_e carry into digits at and above the level
+        words = [rv_truncate(spec, wd, level) for wd in words]
     seen = set()
     for wd in words:
         if wd in seen:

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from chaincodes.chain import PRESET_NAMES, parse_ring_spec, preset
+from chaincodes.chain import PRESET_NAMES, make_ring, parse_ring_spec, preset
 from chaincodes.enumeration import (
     _all_types,
+    _b_zero,
+    _cum,
+    _d_zero,
+    _room,
+    chain_family_counts,
     count_sd_type,
     count_so_type,
     gaussian_binomial,
@@ -20,6 +25,12 @@ from chaincodes.lifting import (
     expected_chain_length,
     stage_count_formula,
     validate_chain,
+)
+from chaincodes.fieldcodes import (
+    _field_spec,
+    enumerate_subspaces,
+    is_self_orthogonal_field,
+    sigma_doubly_even,
 )
 from chaincodes.tables import GOLDEN_TABLES
 
@@ -166,22 +177,93 @@ def test_length_seven_counts_decompose_over_chains(name, lam, count):
 _CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [preset(name) for name in PRESET_NAMES] + [parse_ring_spec(r) for r in _CR_RINGS],
-    ids=list(PRESET_NAMES) + list(_CR_RINGS),
-)
-def test_total_counts_equals_per_type_sums(spec):
-    for n in range(1, 7):
-        types = list(all_types(spec.e, n))
-        assert list(_all_types(spec, n)) == types
-        assert list(_all_types(spec, n, feasible_only=True)) == [
-            lam for lam in types if so_feasible(spec, n, lam)
-        ]
-        assert total_counts(spec, n) == (
+def _per_type_sums(spec, n):
+    """(so, sd) summed type by type, or the class of the first exception."""
+    types = list(all_types(spec.e, n))
+    try:
+        return (
             sum(count_so_type(spec, n, lam) for lam in types),
             sum(count_sd_type(spec, n, lam) for lam in types),
-        ), n
+        )
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _total_or_error(spec, n):
+    try:
+        return total_counts(spec, n)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "spec,lengths",
+    [
+        (ring, range(1, (8 if ring.q == 2 else 6) + 1))
+        for ring in [preset(name) for name in PRESET_NAMES]
+        + [parse_ring_spec(r) for r in _CR_RINGS]
+    ]
+    + [(make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)), range(2, 6))],
+    ids=list(PRESET_NAMES) + list(_CR_RINGS) + ["m3"],
+)
+def test_total_counts_equals_per_type_sums(spec, lengths):
+    # the closed-form benchmark grid; where the type-by-type route raises,
+    # the head-by-head total must raise the same class
+    e = spec.e
+    for n in lengths:
+        types = list(all_types(e, n))
+        assert list(_all_types(spec, n)) == types
+        for lam in types:
+            cum = _cum(lam)
+            paired = all(cum(i) + cum(e - i + 1) <= n for i in range(e // 2 + 1, e + 1))
+            assert so_feasible(spec, n, lam) == paired, lam
+            # the cap the total's walk grows each entry under
+            assert all(lam[i - 1] <= _room(e, n, cum, i) for i in range(1, e + 1)) == paired
+        assert _total_or_error(spec, n) == _per_type_sums(spec, n), n
+
+
+_RAISES_TODAY = pytest.mark.xfail(raises=ArithmeticError, strict=True)
+
+
+@pytest.mark.parametrize(
+    "m,n,d",
+    [
+        pytest.param(m, n, d, marks=_RAISES_TODAY if (m, n, d) == (1, 8, 3) else ())
+        for m, lengths in ((1, (2, 4, 6, 8)), (2, (2, 4, 6)))
+        for n in lengths
+        for d in range(n // 2)
+    ],
+)
+def test_even_length_base_factors_split_doubly_even_codes(m, n, d):
+    # chains without and with the all-one word together count every
+    # doubly even [n, d] code
+    q = 2**m
+    assert _d_zero(q, m, n, d) + _b_zero(q, m, n, d) == sigma_doubly_even(n, d, m, False)
+
+
+@pytest.mark.parametrize(
+    "name,n,top",
+    [
+        pytest.param(
+            name, n, top, marks=_RAISES_TODAY if (name, n, top) == ("R4,1", 8, 3) else ()
+        )
+        for name, lengths in (("R4,1", range(2, 9)), ("R6,2", range(2, 6)))
+        for n in lengths
+        for top in range(1, n // 2 + 1)
+    ],
+)
+def test_anchor_zero_family_counts_self_orthogonal_field_codes(name, n, top):
+    # with a zero anchor, a "N" chain is just its top member: any
+    # self-orthogonal [n, top] code over the residue field
+    spec = preset(name)
+    lam = [0] * spec.e
+    lam[spec.e // 2 - (spec.kappa - 1) // 2] = top
+    closed = chain_family_counts("N", spec, n, lam)
+    assert closed == sum(
+        1
+        for code in enumerate_subspaces(_field_spec(spec.m), n, top)
+        if is_self_orthogonal_field(code)
+    )
 
 
 def test_walkthrough_chain_total_is_stage_product():

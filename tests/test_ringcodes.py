@@ -1,10 +1,11 @@
 """Chain ring codes: standard form, torsion, truncation, duality."""
 
+import dataclasses
 import random
 
 import pytest
 
-from chaincodes.chain import cr_add, cr_mul, from_u_adic, preset, u_valuation
+from chaincodes.chain import cr_add, cr_mul, from_u_adic, preset, truncate_elem, u_valuation
 from chaincodes.fieldcodes import is_subcode
 from chaincodes.ringcodes import (
     code_signature,
@@ -86,6 +87,24 @@ def test_size_matches_codeword_count():
         words = list(enumerate_codewords(code))
         assert len(words) == code.size()
         assert len(set(words)) == len(words)
+
+
+def test_codewords_below_full_depth_lie_in_the_level_quotient():
+    spec = preset("R4,1")
+    code = make_code(spec, 2, 3, [(1, 0, 1), (0, 1, 1)])
+    words = list(enumerate_codewords(code))
+    assert len(words) == code.size() == 16
+    for word in words:
+        assert all(truncate_elem(spec, x, 2) == x for x in word), word
+
+
+def test_signature_ignores_the_spanning_rows():
+    # (1,1,0) = (1,0,1) + (0,1,1) over R_2, so both row pairs span one
+    # level-2 code; their sums in R_e differ only in digits at and above 2
+    spec = preset("R4,1")
+    code = make_code(spec, 2, 3, [(1, 0, 1), (0, 1, 1)])
+    other = dataclasses.replace(code, block_rows=(((1, 1, 0), (0, 1, 1)), ()))
+    assert code_signature(other) == code_signature(code)
 
 
 def test_torsion_nesting_and_size_product():
