@@ -67,11 +67,6 @@ class ChainRingSpec:
         """|R_level| = q^level (default: the full ring R_e)."""
         return self.q ** (self.e if level is None else level)
 
-    def ideal_size(self, i: int, level: Optional[int] = None) -> int:
-        """|<u^i>| inside R_level."""
-        lev = self.e if level is None else level
-        return self.q ** max(lev - i, 0)
-
     @cached_property
     def ops(self) -> "Ops":
         """Element arithmetic of this ring, looked up once per spec object.
@@ -560,10 +555,3 @@ def truncate_elem(spec: ChainRingSpec, a: CRElem, level: int) -> CRElem:
     if not 0 <= level <= spec.e:
         raise ValueError(f"level must be in 0..{spec.e}, got {level}")
     return a & ((1 << (spec.m * level)) - 1)
-
-
-def two_unit_digits(spec: ChainRingSpec) -> Tuple[int, ...]:
-    """Digits (eta_0, eta_1, ...) with 2 = u^kappa (eta_0 + eta_1 u + ...), eta_0 != 0."""
-    digits = to_u_adic(spec, cr_from_int(spec, 2))
-    assert not any(digits[: spec.kappa]) and digits[spec.kappa] != 0
-    return digits[spec.kappa:]

@@ -120,22 +120,6 @@ def codewords(code: FieldCode) -> Iterator[FVec]:
         yield v
 
 
-def dual_code_field(code: FieldCode) -> FieldCode:
-    """Dual under the bilinear form (kernel of the generator matrix)."""
-    gr, n = code.gr, code.n
-    pivset = set(code.pivots)
-    basis = []
-    for c in range(n):
-        if c in pivset:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for row, p in zip(code.rows, code.pivots):
-            v[p] = row[c]  # char 2: -x = x
-        basis.append(tuple(v))
-    return make_field_code(gr, n, basis)
-
-
 def is_self_orthogonal_field(code: FieldCode) -> bool:
     gr = code.gr
     rows = code.rows

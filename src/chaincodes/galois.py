@@ -109,11 +109,6 @@ def gr_neg(R: GRSpec, a: GRElem) -> GRElem:
     return tuple((-x) % ch for x in a)
 
 
-def gr_sub(R: GRSpec, a: GRElem, b: GRElem) -> GRElem:
-    ch = R.char
-    return tuple((x - y) % ch for x, y in zip(a, b))
-
-
 def gr_mul(R: GRSpec, a: GRElem, b: GRElem) -> GRElem:
     m, ch = R.m, R.char
     if m == 1:
@@ -184,10 +179,6 @@ def teichmuller_set(R: GRSpec) -> Tuple[GRElem, ...]:
     return tuple(teichmuller_lift(R, c) for c in range(R.q))
 
 
-def field_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def field_mul(R: GRSpec, a: int, b: int) -> int:
     """Carry-less product mod the modulus residue."""
     out = 0
@@ -251,30 +242,6 @@ def parse_poly(text: str, length: int, char: int) -> Tuple[int, ...]:
             raise ValueError(f"term {raw!r} exceeds degree {length - 1}")
         coeffs[k] += c
     return tuple(c % char for c in coeffs)
-
-
-def format_gr_elem(R: GRSpec, a: GRElem) -> str:
-    return format_poly(a)
-
-
-def parse_gr_elem(R: GRSpec, text: str) -> GRElem:
-    return parse_poly(text, R.m, R.char)
-
-
-def format_gr_spec(R: GRSpec) -> str:
-    return f"GR(2^{R.s},{R.m};{format_poly(R.modulus)})"
-
-
-_GR_SPEC_RE = re.compile(r"GR\(2\^(\d+),(\d+);(.+)\)$")
-
-
-def parse_gr_spec(text: str) -> GRSpec:
-    found = _GR_SPEC_RE.fullmatch(text.strip())
-    if found is None:
-        raise ValueError(f"cannot parse ring spec {text!r}; expected GR(2^s,m;f)")
-    s, m = int(found.group(1)), int(found.group(2))
-    modulus = parse_poly(found.group(3), m + 1, 1 << s)
-    return make_galois_ring(s, m, modulus)
 
 
 def format_field_elem(R: GRSpec, c: int) -> str:

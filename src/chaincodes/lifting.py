@@ -5,15 +5,17 @@ codes, lifts it to a code over the level-2 (or level-3) quotient, and then
 raises the level two at a time.  At each stage the candidate generator
 matrices extend the previous stage's matrix: every carried row gains fresh
 digits on a restricted column support, and one new bottom block of rows is
-adjoined.  Candidates are filtered by self-orthogonality plus the deeper
-diagonal conditions; the torsion tower is aligned with the chain by
-construction.  Closed-form stage counts live alongside the search so the
-two can be compared case by case.
+adjoined.  Rows are tested as they are written, for self-orthogonality
+plus the deeper diagonal conditions, from a plan cached per pivot
+structure; the torsion tower is aligned with the chain by construction.
+Closed-form stage counts live alongside the search so the two can be
+compared case by case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .chain import ChainRingSpec
@@ -29,13 +31,12 @@ from .fieldcodes import (
 )
 from .ringcodes import (
     RingCode,
-    RVec,
     Slot,
     bottom_blocks,
     fill_candidates,
+    fill_plan,
     is_self_orthogonal_ring,
     rv_teich,
-    satisfies_deep_orthogonality,
     torsion_code,
 )
 
@@ -343,55 +344,47 @@ def stage_count_formula(
 # ---------------------------------------------------------------------------
 
 
-def _extend_candidates(
-    spec: ChainRingSpec,
-    n: int,
-    level: int,
-    gamma: int,
-    carried: List[Tuple[Tuple[RVec, ...], Tuple[int, ...], int]],
-    new_count: int,
-) -> Iterator[RingCode]:
-    """All standard-form extensions of the carried blocks by two levels.
+@lru_cache(maxsize=1024)  # above the 612 keys a lift_walk round plans; bounds long runs
+def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tuple, new_count: int):
+    """How every standard-form extension by two levels is written.
 
-    carried[h-1] = (rows, pivot columns, previous precision) for block h.
-    Each carried row keeps its old digits and gains digits up to its new
+    carried[h-1] = (pivot columns, previous precision) for block h.  Each
+    carried row keeps its old digits and gains digits up to its new
     precision; a fresh digit at position mu may sit on free columns or on
     pivot columns of blocks more than mu places further down.  Digits at
     a later pivot column can be redundant for the span at this level, but
     they are genuine data of the eventual full-depth code, so they are
     enumerated here and never deduplicated.  The new bottom block runs
     over canonical bases of subspaces of the free columns.
+
+    Returns (stage tag, profile, [(bottom rows, pivots per block, fill
+    plan with the orthogonality test)] per bottom block).
     """
     bot = gamma + level
     if len(carried) != bot - 1:
         raise ValueError("carried block count does not fit the target level")
-    existing_pivots: List[Tuple[int, ...]] = [p for _, p, _ in carried]
+    existing_pivots: List[Tuple[int, ...]] = [p for p, _ in carried]
     taken = {c for piv in existing_pivots for c in piv}
     free_cols = [c for c in range(n) if c not in taken]
-    profile = tuple(len(rows) for rows, _, _ in carried) + (new_count,)
-    templates = [rows for rows, _, _ in carried]
+    profile = tuple(len(p) for p in existing_pivots) + (new_count,)
+    out = []
     for bottom_rows, bottom_piv in bottom_blocks(spec, n, free_cols, new_count):
         pivots_by_block = existing_pivots + [bottom_piv]
         free_rem = [c for c in free_cols if c not in bottom_piv]
         slots: List[Slot] = []
         for h in range(1, bot):
-            rows, _, prec_prev = carried[h - 1]
+            piv, prec_prev = carried[h - 1]
             prec_new = level - max(0, h - gamma - 1)
-            for r in range(len(rows)):
+            for r in range(len(piv)):
                 for mu in range(prec_prev, prec_new):
                     cols = list(free_rem)
                     for h2 in range(h + mu + 1, bot + 1):
                         cols.extend(pivots_by_block[h2 - 1])
                     for c in sorted(cols):
                         slots.append((h, r, c, mu))
-        yield from fill_candidates(
-            spec, level, n, profile, tuple(pivots_by_block), templates, slots,
-            bottom_rows,
-        )
-
-
-def _stage_filter(code: RingCode) -> bool:
-    return is_self_orthogonal_ring(code) and satisfies_deep_orthogonality(code)
+        plan = fill_plan(spec, level, n, profile, slots, test=True)
+        out.append((bottom_rows, tuple(pivots_by_block), plan))
+    return dict(stage_plan(spec))[level], profile, tuple(out)
 
 
 def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
@@ -404,17 +397,13 @@ def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
     if problems:
         raise ValueError("invalid chain: " + "; ".join(problems))
     spec = chain.ring
-    theta = spec.e % 2
-    level = 2 + theta
-    gamma = spec.e // 2 - 1
+    level = 2 + spec.e % 2
     mat = chain_matrix(chain)
-    carried = [
-        (tuple(rv_teich(spec, row) for row in rows), piv, 1)
-        for rows, piv in mat
-    ]
-    for cand in _extend_candidates(spec, chain.n, level, gamma, carried, new_count):
-        if _stage_filter(cand):
-            yield cand
+    templates = [tuple(rv_teich(spec, row) for row in rows) for rows, _ in mat]
+    carried = tuple((piv, 1) for _, piv in mat)
+    _, profile, bottoms = _lift_plan(spec, chain.n, level, spec.e // 2 - 1, carried, new_count)
+    for rows, pivots, plan in bottoms:
+        yield from fill_candidates(spec, level, chain.n, profile, pivots, templates, plan, rows)
 
 
 def lift_once(prev: RingCode, chain: SOChain, new_count: int) -> Iterator[RingCode]:
@@ -432,17 +421,18 @@ def lift_once(prev: RingCode, chain: SOChain, new_count: int) -> Iterator[RingCo
     gamma = prev.gamma - 1
     if gamma != spec.e // 2 - level // 2:
         raise ValueError("previous code does not carry a full-depth profile")
-    tag = dict(stage_plan(spec))[level]
+    carried = tuple(
+        (prev.pivots[h - 1], prev.precision(h))
+        for h in range(1, len(prev.profile) + 1)
+    )
+    tag, profile, bottoms = _lift_plan(spec, prev.n, level, gamma, carried, new_count)
     if tag == STAGE_BREAK_CROSSING:
         if stage_obstruction(spec, prev.n, chain.contains_one) is not None:
             return
-    carried = [
-        (prev.block_rows[h - 1], prev.pivots[h - 1], prev.precision(h))
-        for h in range(1, len(prev.profile) + 1)
-    ]
-    for cand in _extend_candidates(spec, prev.n, level, gamma, carried, new_count):
-        if _stage_filter(cand):
-            yield cand
+    for rows, pivots, plan in bottoms:
+        yield from fill_candidates(
+            spec, level, prev.n, profile, pivots, prev.block_rows, plan, rows
+        )
 
 
 def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCode:

@@ -32,6 +32,7 @@ from .ringcodes import (
     bottom_blocks,
     code_signature,
     fill_candidates,
+    fill_plan,
     is_self_dual_ring,
     is_self_orthogonal_ring,
     satisfies_deep_orthogonality,
@@ -167,7 +168,8 @@ def _matrix_candidates(
                             slots.append((h, r, c, mu))
         # every entry zero except a 1 at each row's pivot
         base = [[[int(c == p) for c in range(n)] for p in piv] for piv in pivots]
-        yield from fill_candidates(spec, level, n, profile, pivots, base, slots)
+        plan = fill_plan(spec, level, n, profile, slots)
+        yield from fill_candidates(spec, level, n, profile, pivots, base, plan)
 
 
 def enumerate_codes_of_type(
@@ -277,11 +279,12 @@ def brute_force_lift_count(
     bottoms = bottom_blocks(spec, n, free_cols, new_count)
     _check_budget(spec, n, len(bottoms) * spec.q ** len(slots), budget)
     prev_sig = code_signature(prev)
+    plan = fill_plan(spec, level, n, profile, slots)
     seen = set()
     for bottom_rows, bottom_piv in bottoms:
         pivots = prev.pivots + (bottom_piv,)
         for cand in fill_candidates(
-            spec, level, n, profile, pivots, prev.block_rows, slots, bottom_rows
+            spec, level, n, profile, pivots, prev.block_rows, plan, bottom_rows
         ):
             if not is_self_orthogonal_ring(cand):
                 continue

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chain import (
     CRElem,
@@ -31,7 +32,6 @@ from .chain import (
     cr_u_pow,
     cr_zero,
     from_u_adic,
-    pi,
     pi0,
     truncate_elem,
     u_valuation,
@@ -119,10 +119,6 @@ class RingCode:
         head = sum(self.profile[: g + 1])
         return (head,) + self.profile[g + 1 :]
 
-    @property
-    def num_rows(self) -> int:
-        return sum(self.profile)
-
     def size(self) -> int:
         total = 1
         q = self.ring.q
@@ -152,6 +148,73 @@ class RingCode:
 Slot = Tuple[int, int, int, int]
 
 
+class FillPlan(NamedTuple):
+    """rows: (h, r, (column, bit shift) per slot, keep-mask per column
+    clearing the slot digits) per written row, in slot order.  test: None
+    or (pairs, masks), pairs = (h1, r1, h2, r2, mask) over the unwritten
+    rows and masks[k] = (self mask, (h, r, mask) per unwritten row, (j,
+    mask) per earlier written row j) for written row k.  A dot product
+    passes a mask when it has no digit under it.
+    """
+
+    rows: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...], Tuple[int, ...]], ...]
+    test: Optional[tuple]
+
+
+def fill_plan(
+    spec: ChainRingSpec, level: int, n: int, profile: Sequence[int], slots: Sequence[Slot],
+    test: bool = False,
+) -> FillPlan:
+    """The plan fill_candidates follows; the slots of a row must be contiguous.
+
+    With test set, fill_candidates yields only the codes that pass
+    is_self_orthogonal_ring and satisfies_deep_orthogonality: rows at
+    scales u^pa, u^pb need level - pa - pb zero digits in their dot
+    product, and a top-block row the deep_masks of its block.
+    """
+    rows: List[Tuple[int, int, list, list]] = []
+    for h, r, c, mu in slots:
+        if not rows or rows[-1][:2] != (h, r):
+            if any(row[:2] == (h, r) for row in rows):
+                raise ValueError("the slots of one row must be contiguous")
+            rows.append((h, r, [], [-1] * n))
+        rows[-1][2].append((c, spec.m * mu))
+        rows[-1][3][c] &= ~((spec.q - 1) << (spec.m * mu))
+    plan_rows = tuple((h, r, tuple(w), tuple(keep)) for h, r, w, keep in rows)
+    if not test:
+        return FillPlan(plan_rows, None)
+    gamma = len(profile) - level
+    deep = deep_masks(spec, level, gamma)
+
+    def mask(a: Tuple[int, int], b: Tuple[int, int]) -> int:
+        pa, pb = max(0, a[0] - gamma - 1), max(0, b[0] - gamma - 1)
+        own = deep[a[0] - 1] if a == b and a[0] <= len(deep) else 0
+        return truncate_elem(spec, -1, max(0, level - pa - pb)) | own  # digits below the need
+
+    written = [row[:2] for row in rows]
+    every = [(h, r) for h, size in enumerate(profile, start=1) for r in range(size)]
+    fixed = [a for a in every if a not in written]
+    pairs = [a + b + (mask(a, b),) for i, a in enumerate(fixed) for b in fixed[i:]]
+    masks = [
+        (
+            mask(a, a),
+            tuple(b + (mask(a, b),) for b in fixed if mask(a, b)),
+            tuple((j, mask(a, b)) for j, b in enumerate(written[:k]) if mask(a, b)),
+        )
+        for k, a in enumerate(written)
+    ]
+    return FillPlan(plan_rows, (tuple(p for p in pairs if p[4]), tuple(masks)))
+
+
+def _row_variants(base: RVec, writes: Sequence[Tuple[int, int]], q: int) -> Iterator[RVec]:
+    """base with every residue digit at each write, the last write fastest."""
+    for assignment in itertools.product(range(q), repeat=len(writes)):
+        row = list(base)
+        for (c, shift), val in zip(writes, assignment):
+            row[c] |= val << shift
+        yield tuple(row)
+
+
 def fill_candidates(
     spec: ChainRingSpec,
     level: int,
@@ -159,38 +222,62 @@ def fill_candidates(
     profile: Sequence[int],
     pivots: Tuple[Tuple[int, ...], ...],
     templates: Sequence[Sequence[RVec]],
-    slots: Sequence[Slot],
+    plan: FillPlan,
     tail: Optional[Tuple[RVec, ...]] = None,
 ) -> Iterator[RingCode]:
-    """Every code obtained by writing residue digits into template slots.
+    """Every code obtained by writing residue digits into the plan's slots.
 
     templates[h-1][r][c] is entry c of row r of block h.  Each slot takes
-    every residue digit in turn at its digit position mu, the last slot
-    varying fastest; the other digits stay as the template has them.  tail,
-    if given, is appended unchanged as a final block.  Only the rows that
-    slots write are rebuilt per candidate.
+    every residue digit in turn, the last slot varying fastest (the order
+    of itertools.product over the slots); the other digits stay as the
+    template has them.  tail, if given, is appended unchanged as a final
+    block.  The written rows are chosen in nested loops.  With the plan's
+    test, a row keeps the variants that pass its own and the unwritten
+    rows' masks, and each choice is checked against the rows chosen before
+    it, so the survivors come out in stream order.
     """
     profile = tuple(profile)
-    m, digit = spec.m, spec.q - 1
-    cleared = [[list(row) for row in block] for block in templates]
-    for h, r, c, mu in slots:
-        cleared[h - 1][r][c] &= ~(digit << (m * mu))
-    blocks = [[tuple(row) for row in block] for block in cleared]
-    written = sorted({(h, r) for h, r, _, _ in slots})
-    index = {key: k for k, key in enumerate(written)}
-    writes = [(index[h, r], c, m * mu) for h, r, c, mu in slots]
-    for assignment in itertools.product(range(spec.q), repeat=len(slots)):
-        rows = [list(cleared[h - 1][r]) for h, r in written]
-        for (k, c, shift), val in zip(writes, assignment):
-            rows[k][c] |= val << shift
-        for (h, r), row in zip(written, rows):
-            blocks[h - 1][r] = tuple(row)
-        filled = tuple(tuple(block) for block in blocks)
-        if tail is not None:
-            filled += (tail,)
-        yield RingCode(
-            ring=spec, level=level, n=n, profile=profile, block_rows=filled, pivots=pivots
-        )
+    blocks = [[tuple(row) for row in block] for block in templates]
+    if tail is not None:
+        blocks.append(list(tail))
+    dot, q, test = spec.ops.dot, spec.q, plan.test
+    bases = [tuple(x & k for x, k in zip(blocks[h - 1][r], keep)) for h, r, _, keep in plan.rows]
+    if test is not None:
+        pairs, masks = test
+        if any(dot(blocks[a - 1][i], blocks[b - 1][j]) & mk for a, i, b, j, mk in pairs):
+            return
+        options = [
+            [
+                v
+                for v in _row_variants(base, row[2], q)
+                if not dot(v, v) & own
+                and not any(dot(v, blocks[h - 1][r]) & mk for h, r, mk in fixed)
+            ]
+            for base, row, (own, fixed, _) in zip(bases, plan.rows, masks)
+        ]
+        if not all(options):
+            return
+    chosen: List[RVec] = [()] * len(plan.rows)
+    last = len(plan.rows) - 1
+
+    def make() -> RingCode:
+        return RingCode(spec, level, n, profile, tuple(map(tuple, blocks)), pivots)
+
+    def walk(k: int) -> Iterator[RingCode]:
+        h, r, writes, _ = plan.rows[k]
+        if test is None:
+            rows, earlier = _row_variants(bases[k], writes, q), ()
+        else:
+            rows, earlier = options[k], masks[k][2]
+        for v in rows:
+            if not earlier or not any(dot(v, chosen[j]) & mk for j, mk in earlier):
+                blocks[h - 1][r] = chosen[k] = v
+                if k == last:
+                    yield make()
+                else:
+                    yield from walk(k + 1)
+
+    yield from walk(0) if plan.rows else iter((make(),))
 
 
 def bottom_blocks(
@@ -533,51 +620,33 @@ def dual_code_ring(code: RingCode) -> RingCode:
 # ---------------------------------------------------------------------------
 
 
-def _stacked_rows(code: RingCode, v: int) -> List[RVec]:
-    """Unscaled rows of blocks 1..v of the fine split."""
-    rows: List[RVec] = []
-    for h in range(1, min(v, len(code.profile)) + 1):
-        rows.extend(code.block_rows[h - 1])
-    return rows
+@lru_cache(maxsize=64)  # a few levels per ring in use; bounded for long-lived processes
+def deep_masks(spec: ChainRingSpec, level: int, gamma: int) -> Tuple[int, ...]:
+    """The diagonal conditions a truncation of a self-orthogonal full-depth
+    code satisfies beyond plain self-orthogonality, as one digit mask per
+    top block.
 
-
-def satisfies_deep_orthogonality(code: RingCode) -> bool:
-    """The extra diagonal conditions a truncation of a self-orthogonal
-    full-depth code satisfies beyond plain self-orthogonality.
-
-    Only rows of the top (scale u^0) blocks of the fine split are tested,
-    via their self-products taken in the full ring on the zero-padded
-    representatives.  Which digits are constrained depends on where the
-    level sits relative to the ramification break; exactly one of the four
-    regimes below must apply.
+    Entry h-1 holds the digits that the self-product of a row of block h
+    (of blocks 1..gamma, all at scale u^0) must not have, the product taken
+    in the full ring on the zero-padded representative.  Which digits are
+    constrained depends on where the level sits relative to the
+    ramification break; exactly one of the four regimes below must apply.
+    Each condition (v, lo, hi) asks digits lo..hi-1 to vanish on the rows
+    of blocks 1..v; every one with v > 0 has hi <= e.
     """
-    spec = code.ring
-    e = spec.e
-    kappa = spec.kappa
-    lev = code.level
+    e, kappa, lev, theta = spec.e, spec.kappa, level, spec.e % 2
     if (e - lev) % 2 != 0:
         raise ValueError("level parity does not match the full depth")
     if not 2 <= lev <= e:
         raise ValueError("level out of range for the deep test")
-    theta = e % 2
-    gamma = code.gamma
     if gamma != (e // 2) - (lev // 2):
         raise ValueError("profile split does not reach full depth")
 
-    def fl(w: int) -> int:
-        return w // 2
-
-    def ce(w: int) -> int:
-        return (w + 1) // 2
-
-    two_kappa_high = 2 * kappa >= e
-    bound_ii = kappa - fl(2 * kappa - e) + 1 if two_kappa_high else None
-
+    bound_ii = kappa - (2 * kappa - e) // 2 + 1 if 2 * kappa >= e else None
     in_i = lev <= min(kappa - 1, e - kappa)
     in_ii = bound_ii is not None and (e - kappa) < lev <= bound_ii
     in_iii = kappa <= lev <= e - kappa
-    hi = max(e - kappa, bound_ii if bound_ii is not None else -(10**9))
-    in_iv = lev > hi
+    in_iv = lev > max(e - kappa, bound_ii if bound_ii is not None else -(10**9))
     matches = [nm for nm, ok in (("i", in_i), ("ii", in_ii), ("iii", in_iii), ("iv", in_iv)) if ok]
     if len(matches) != 1:
         raise RuntimeError(
@@ -585,41 +654,37 @@ def satisfies_deep_orthogonality(code: RingCode) -> bool:
             f"e={e} kappa={kappa} level={lev} -> {matches}"
         )
     case = matches[0]
-
-    def self_dots(v: int) -> Iterator[CRElem]:
-        for w in _stacked_rows(code, v):
-            yield rv_dot(spec, w, w)
-
-    def val_ok(v: int, bound: int) -> bool:
-        if v <= 0:
-            return True
-        return all(u_valuation(spec, d) >= bound for d in self_dots(v))
-
-    def digit_zero(v: int, idx: int) -> bool:
-        if v <= 0:
-            return True
-        return all(pi(spec, idx, d) == 0 for d in self_dots(v))
-
     if case == "iv":
-        for i in range(2, e - lev + 1, 2):
-            if not val_ok(gamma + 1 - fl(i), lev + i):
-                return False
-        return True
-    if case == "iii":
+        conds = [(gamma + 1 - i // 2, 0, lev + i) for i in range(2, e - lev + 1, 2)]
+    elif case == "iii":
         idxs = list(range(2, kappa, 2)) + [kappa]
-        for i in idxs:
-            if not val_ok(gamma + 1 - ce(i), lev + i):
-                return False
-        return True
-    # cases i and ii share the first family
-    for i in range(2, lev - theta + 1, 2):
-        if not val_ok(gamma + 1 - fl(i), lev + i):
-            return False
-    if case == "i":
-        j_stop = kappa - 2 + theta
+        conds = [(gamma + 1 - (i + 1) // 2, 0, lev + i) for i in idxs]
     else:
-        j_stop = e - lev - 1 - theta
-    for j in range(lev - 1, j_stop + 1, 2):
-        if not digit_zero(gamma + 1 - fl(j + 2), lev + j):
-            return False
-    return True
+        # cases i and ii share the first family
+        conds = [(gamma + 1 - i // 2, 0, lev + i) for i in range(2, lev - theta + 1, 2)]
+        j_stop = kappa - 2 + theta if case == "i" else e - lev - 1 - theta
+        conds += [
+            (gamma + 1 - (j + 2) // 2, lev + j, lev + j + 1)
+            for j in range(lev - 1, j_stop + 1, 2)
+        ]
+    masks = [0] * gamma
+    for v, lo, hi in conds:
+        for h in range(max(v, 0)):
+            masks[h] |= truncate_elem(spec, -1, hi) ^ truncate_elem(spec, -1, lo)
+    return tuple(masks)
+
+
+def satisfies_deep_orthogonality(code: RingCode) -> bool:
+    """Whether the top-block rows of a truncated code pass deep_masks.
+
+    Only rows of the top (scale u^0) blocks of the fine split are tested,
+    each self-product once.
+    """
+    dot = code.ring.ops.dot
+    masks = deep_masks(code.ring, code.level, code.gamma)
+    return not any(
+        dot(w, w) & mask
+        for h, mask in enumerate(masks)
+        if mask
+        for w in code.block_rows[h]
+    )

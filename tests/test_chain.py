@@ -27,7 +27,6 @@ from chaincodes.chain import (
     preset,
     to_u_adic,
     truncate_elem,
-    two_unit_digits,
     u_valuation,
 )
 from chaincodes.chain import (  # the private reference arithmetic
@@ -59,8 +58,6 @@ def test_preset_parameters(name):
     assert spec.q == 2**m
     assert spec.size() == spec.q**e
     assert spec.size(2) == spec.q**2
-    assert spec.ideal_size(1) == spec.q ** (e - 1)
-    assert spec.ideal_size(e) == 1
 
 
 def test_unknown_preset_rejected():
@@ -97,14 +94,14 @@ def test_two_has_valuation_kappa(name):
 
 @pytest.mark.parametrize("name", sorted(PRESET_PARAMS))
 def test_two_unit_digits_identity(name):
-    # 2 = u^kappa * eta with eta a unit; the digits describe eta
+    # 2 = u^kappa * eta with eta a unit; the digits of 2 from kappa on are eta's
     spec = preset(name)
-    digits = two_unit_digits(spec)
-    assert len(digits) == spec.e - spec.kappa
+    two = cr_from_int(spec, 2)
+    digits = to_u_adic(spec, two)[spec.kappa:]
     assert digits[0] != 0
-    eta = from_u_adic(spec, digits + (0,) * spec.kappa)
+    eta = from_u_adic(spec, digits)
     assert cr_is_unit(spec, eta)
-    assert cr_mul(spec, cr_u_pow(spec, spec.kappa), eta) == cr_from_int(spec, 2)
+    assert cr_mul(spec, cr_u_pow(spec, spec.kappa), eta) == two
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_PARAMS))

@@ -11,7 +11,6 @@ from chaincodes.fieldcodes import (
     codewords,
     contains,
     contains_all_one,
-    dual_code_field,
     elementary_symmetric_2,
     enumerate_extensions,
     enumerate_subspaces,
@@ -66,30 +65,17 @@ def test_span_membership_and_size():
             assert contains(code, (0,) * n)
 
 
-def test_dual_dimensions_and_orthogonality():
-    rng = random.Random(13)
-    for gr in _grs():
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            code = random_field_code(rng, gr, n, n)
-            dual = dual_code_field(code)
-            assert dual.dim == n - code.dim
-            for v in code.rows:
-                for w in dual.rows:
-                    assert vec_dot(gr, v, w) == 0
-            assert is_subcode(code, dual_code_field(dual))
-            assert dual_code_field(dual).dim == code.dim
-
-
 def test_self_orthogonal_matches_dual_containment():
+    # the code lies in its dual iff every codeword is orthogonal to every row
     rng = random.Random(14)
     for gr in _grs():
         for _ in range(60):
             n = rng.randint(1, 4)
             code = random_field_code(rng, gr, n, n)
-            assert is_self_orthogonal_field(code) == is_subcode(
-                code, dual_code_field(code)
+            in_dual = all(
+                vec_dot(gr, w, v) == 0 for w in codewords(code) for v in code.rows
             )
+            assert is_self_orthogonal_field(code) == in_dual
 
 
 def test_bilinear_form_is_symmetric_and_additive_in_squares():

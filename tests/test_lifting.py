@@ -4,7 +4,15 @@ import hashlib
 
 import pytest
 
-from chaincodes.chain import from_u_adic, make_ring, preset, to_u_adic
+from chaincodes import lifting
+from chaincodes.chain import (
+    PRESET_NAMES,
+    from_u_adic,
+    make_ring,
+    parse_ring_spec,
+    preset,
+    to_u_adic,
+)
 from chaincodes.fieldcodes import make_field_code, zero_code
 from chaincodes.lifting import (
     SOChain,
@@ -22,8 +30,10 @@ from chaincodes.lifting import (
 )
 from chaincodes.ringcodes import (
     code_signature,
+    fill_candidates,
     is_self_dual_ring,
     is_self_orthogonal_ring,
+    rv_teich,
     satisfies_deep_orthogonality,
     torsion_code,
 )
@@ -300,3 +310,65 @@ def test_lift_yields_are_pinned(name, n, pinned):
     # pinned while elements were nested tuples: yield order and content must
     # not depend on how elements are encoded
     assert _lift_digest(name, n) == pinned
+
+
+def _filtered_stream(spec, n, level, gamma, carried, templates, new_count):
+    """A stage's candidates written without the row-wise test, then
+    filtered by the two whole-code predicates."""
+    _, profile, bottoms = lifting._lift_plan(spec, n, level, gamma, carried, new_count)
+    for rows, pivots, plan in bottoms:
+        for cand in fill_candidates(
+            spec, level, n, profile, pivots, templates, plan._replace(test=None), rows
+        ):
+            if is_self_orthogonal_ring(cand) and satisfies_deep_orthogonality(cand):
+                yield cand
+
+
+_CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
+# R8,2 at n = 3 writes 8.1 million candidates, too many for the suite
+_SEARCH_GRID = [
+    (name, n)
+    for name in PRESET_NAMES + _CR_RINGS
+    for n in (1, 2, 3)
+    if (name, n) != ("R8,2", 3)
+] + [("R4,1", 4)]
+
+
+@pytest.mark.parametrize("name, n", _SEARCH_GRID)
+def test_stage_search_equals_filtered_stream(name, n):
+    # the row-wise test prunes exactly what the whole-code predicates
+    # reject, and keeps the survivors in the stream's order, at every stage
+    # of every valid chain of every type
+    spec = parse_ring_spec(name) if name.startswith("CR(") else preset(name)
+    half = expected_chain_length(spec)
+    stages = len(stage_plan(spec))
+    calls = 0
+    for lam in all_types(spec.e, n):
+        for chain in enumerate_so_chains(spec, n, lam[:half]):
+            if validate_chain(chain):
+                continue
+            mat = chain_matrix(chain)
+            templates = [tuple(rv_teich(spec, row) for row in rows) for rows, _ in mat]
+            carried = tuple((piv, 1) for _, piv in mat)
+            jets = list(base_lift(chain, lam[half]))
+            assert jets == list(_filtered_stream(
+                spec, n, 2 + spec.e % 2, spec.e // 2 - 1, carried, templates, lam[half]
+            )), (lam, chain.dims)
+            for k in range(1, stages):
+                lifted = []
+                for jet in jets:
+                    got = list(lift_once(jet, chain, lam[half + k]))
+                    carried = tuple(
+                        (jet.pivots[h - 1], jet.precision(h))
+                        for h in range(1, len(jet.profile) + 1)
+                    )
+                    want = list(_filtered_stream(
+                        spec, n, jet.level + 2, jet.gamma - 1, carried,
+                        jet.block_rows, lam[half + k],
+                    ))
+                    assert got == want, (lam, chain.dims, jet.level + 2)
+                    lifted.extend(got)
+                    calls += 1
+                jets = lifted
+            calls += 1
+    assert calls > 0

@@ -149,6 +149,26 @@ def test_lift_recount_odd_depth():
     assert total == count_so_type(r51, 3, lam) == 72
 
 
+@pytest.mark.parametrize("name", ["R4,1", "R5,1"])
+def test_lift_recount_matches_search_on_every_chain(name):
+    # the cells above, widened to every valid chain of every type at n = 3:
+    # the second and last stage yields exactly as many lifts per base code
+    # as the recount without column-support shortcuts finds
+    spec = preset(name)
+    assert len(lifting.stage_plan(spec)) == 2
+    half = lifting.expected_chain_length(spec)
+    compared = 0
+    for lam in all_types(spec.e, 3):
+        for chain in lifting.enumerate_so_chains(spec, 3, lam[:half]):
+            if lifting.validate_chain(chain):
+                continue
+            for code in base_lift(chain, lam[half]):
+                fast = len(list(lift_once(code, chain, lam[half + 1])))
+                assert brute_force_lift_count(code, chain.codes, lam[half + 1]) == fast
+                compared += 1
+    assert compared > 80
+
+
 def test_oracle_walk_size_matches_budget_estimate():
     # the budget check trusts _digit_slots: the walk must yield exactly
     # placements * q^slots distinct matrices, at full depth and on finer
@@ -174,7 +194,10 @@ def test_oracle_walk_size_matches_budget_estimate():
 
 def test_traced_names_are_looked_up_at_call_time(monkeypatch):
     # perfbench/tracer.py rebinds these module attributes; the searches
-    # must call through them rather than through import-time copies
+    # must call through them rather than through import-time copies.  The
+    # stage search tests rows as it writes them, so lifting looks up
+    # is_self_orthogonal_ring only in extract_chain, and it reaches
+    # enumerate_subspaces only when a lift plan is built
     calls = {}
 
     def counting(module, name):
@@ -188,21 +211,22 @@ def test_traced_names_are_looked_up_at_call_time(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(lifting, "is_self_orthogonal_ring")
-    counting(lifting, "satisfies_deep_orthogonality")
     counting(oracle, "is_self_orthogonal_ring")
     counting(oracle, "is_self_dual_ring")
     counting(oracle, "code_signature")
     counting(fieldcodes, "enumerate_subspaces")
 
+    lifting._lift_plan.cache_clear()
     r41 = preset("R4,1")
     pair = make_field_code(r41.gr, 3, [(1, 1, 0)])
     chain = SOChain(r41, 3, (zero_code(r41.gr, 3), pair))
     assert len(list(base_lift(chain, 1))) == 2
+    code = lifting.construct_self_orthogonal(chain, (0, 1, 1, 1))
+    assert lifting.extract_chain(code).codes == chain.codes
     assert brute_force_code_count(r41, 2, (0, 1, 0, 1), "so") == 2
     assert brute_force_code_count(r41, 2, (0, 1, 0, 1), "sd") == 2
     assert set(calls) == {
         "lifting.is_self_orthogonal_ring",
-        "lifting.satisfies_deep_orthogonality",
         "oracle.is_self_orthogonal_ring",
         "oracle.is_self_dual_ring",
         "oracle.code_signature",
