@@ -435,15 +435,6 @@ def cr_zero(spec: ChainRingSpec) -> CRElem:
     return 0
 
 
-def cr_one(spec: ChainRingSpec) -> CRElem:
-    return 1
-
-
-def cr_u(spec: ChainRingSpec) -> CRElem:
-    """The generator u of the maximal ideal."""
-    return cr_u_pow(spec, 1)
-
-
 # The digit index of a constant costs about e reference products, and
 # make_ring reads that of 2 for every spec it builds (the CLI builds one per
 # query); a few constants per ring are ever asked for.
@@ -507,13 +498,6 @@ def pi0(spec: ChainRingSpec, a: CRElem) -> int:
     return a & (spec.q - 1)
 
 
-def cr_div_u(spec: ChainRingSpec, a: CRElem) -> CRElem:
-    """One preimage of a under multiplication by u (requires a mod u = 0)."""
-    if pi0(spec, a) != 0:
-        raise ValueError("element is a unit; cannot divide by u")
-    return a >> spec.m
-
-
 # perfbench/run.py --trace 1 reports the cache_info() of to_u_adic and
 # from_u_adic, so both keep a cache; the bound keeps a long-lived process
 # from holding every element it ever converted.
@@ -536,11 +520,6 @@ def from_u_adic(spec: ChainRingSpec, digits: Tuple[int, ...]) -> CRElem:
         if i < spec.e:
             out |= d << (spec.m * i)
     return out
-
-
-def pi(spec: ChainRingSpec, i: int, a: CRElem) -> int:
-    """u-adic coordinate i of a."""
-    return (a >> (spec.m * i)) & (spec.q - 1)
 
 
 def u_valuation(spec: ChainRingSpec, a: CRElem) -> int:

@@ -1,14 +1,19 @@
 """Closed-form counting of self-orthogonal and self-dual codes by type.
 
-Everything here is exact integer arithmetic.  The per-type counts factor
-as (number of admissible residue-field chains) x (lifts per chain); both
-factors are evaluated from their closed forms, with the chain-family
-counts split by where the all-one word enters the chain.  The chain count
-depends only on the head lambda_1..lambda_ceil(e/2) of a type, so
-total_counts evaluates it once per head and sums the upper-half lift
-factors over the head's completions.  The number of doubly even field
-codes of a given dimension has no closed form here and is supplied by an
-exhaustive counter behind a pluggable hook.
+Everything here is exact integer arithmetic.  A per-type count is a power
+of q times the upper-half lift binomials times b_theta, the number of
+admissible residue-field chains C^(1) <= ... <= C^(ceil(e/2)), each weighted
+by a lift multiplier.  The multiplier depends only on where the all-one
+word first enters the chain, so the chains are counted in two ways:
+_without_one counts those whose doubly even anchor member
+C^(e//2 - (kappa-1)//2) misses the word, and _with_one(entry, exact) is one
+product of Gaussian binomials over the members for those that hold it in
+member `entry` (and not in entry-1 when exact).  The chain count depends
+only on the head lambda_1..lambda_ceil(e/2) of a type, so total_counts
+evaluates it once per head and sums the upper-half lift factors over the
+head's completions.  The number of doubly even field codes of a given
+dimension has no closed form here and is supplied by an exhaustive counter
+behind a pluggable hook.
 """
 
 from __future__ import annotations
@@ -24,9 +29,6 @@ __all__ = [
     "set_sigma_impl",
     "so_feasible",
     "sd_type_shape_ok",
-    "chain_family_counts",
-    "b_theta",
-    "per_chain_lift_count",
     "count_so_type",
     "count_sd_type",
     "total_counts",
@@ -66,7 +68,8 @@ def set_sigma_impl(fn: Callable[[int, int, int, bool], int]) -> None:
 def sigma(n: int, d: int, m: int, with_one: bool) -> int:
     """Number of doubly even [n, d] codes over the degree-m field.
 
-    with_one restricts to codes containing the all-one word.
+    with_one selects the codes that contain the all-one word; otherwise
+    only codes that miss it are counted.
     """
     return _sigma_impl(n, d, m, with_one)
 
@@ -172,87 +175,58 @@ def _ratio_product(q: int, n: int, anchor: int, start: int, stop: int, shift: in
     return _exact_div(num, den)
 
 
+def _split_numerator(q: int, m: int, n: int, i: int) -> int:
+    """q^(n-2i-3) + eps (q^(h-1-i) - q^(h-i-2)) - 1, h = n/2.
+
+    eps is -1 at n = 4 (mod 8) over an odd-degree field and +1 otherwise.
+    """
+    h = n // 2
+    eps = -1 if n % 8 == 4 and m % 2 else 1
+    return q ** (n - 2 * i - 3) + eps * (q ** (h - 1 - i) - q ** (h - i - 2)) - 1
+
+
+def _split_product(q: int, m: int, n: int, lam: int) -> int:
+    """prod over i < lam of _split_numerator(i) / (q^(i+1) - 1), factor by factor."""
+    out = 1
+    for i in range(lam):
+        out = out * _exact_div(_split_numerator(q, m, n, i), q ** (i + 1) - 1)
+    return out
+
+
 def _d_zero(q: int, m: int, n: int, lam: int) -> int:
     """Chains-without-all-one base factor for even length (dim = lam)."""
     if lam == 0:
         return 1
     if lam > n // 2 - 1:
         return 0
-    h = n // 2
-    r8 = n % 8
-    if r8 in (2, 6):
-        lead = _exact_div(
-            (q ** (h - 1) - 1) * (q ** (h - lam - 1) + 1), q - 1
-        )
-        out = lead
+    if n % 8 in (2, 6):
+        h = n // 2
+        out = _exact_div((q ** (h - 1) - 1) * (q ** (h - lam - 1) + 1), q - 1)
         for i in range(1, lam):
             out = out * _exact_div(q ** (n - 2 - 2 * i) - 1, q ** (i + 1) - 1)
         return out
-    if _break_crossable(n, m):
-        out = 1
-        for i in range(lam):
-            num = q ** (n - 2 * i - 3) + q ** (h - 1 - i) - q ** (h - i - 2) - 1
-            out = out * _exact_div(num, q ** (i + 1) - 1)
-        return out
-    # n = 4 mod 8, odd-degree field
-    out = 1
-    for i in range(lam):
-        num = q ** (n - 2 * i - 3) - q ** (h - 1 - i) + q ** (h - i - 2) - 1
-        out = out * _exact_div(num, q ** (i + 1) - 1)
-    return out
+    return _split_product(q, m, n, lam)
 
 
 def _b_zero(q: int, m: int, n: int, lam: int) -> int:
     """Companion factor counting the all-one-bearing branch at even length."""
     if lam == 0 or lam > n // 2 - 1:
         return 0
-    h = n // 2
-    r8 = n % 8
-    if r8 in (2, 6):
-        lead = q ** (n - 2 * lam - 1) - q ** (h - lam - 1)
-    elif _break_crossable(n, m):
-        lead = q ** (n - 2 * lam - 1) + q ** (h - lam) - q ** (h - lam - 1) - 1
+    if n % 8 in (2, 6):
+        lead = q ** (n - 2 * lam - 1) - q ** (n // 2 - lam - 1)
     else:
-        lead = q ** (n - 2 * lam - 1) - q ** (h - lam) + q ** (h - lam - 1) - 1
-    out = lead
-    for i in range(lam - 1):
-        num = q ** (n - 2 * i - 3) + q ** (h - 1 - i) - q ** (h - i - 2) - 1
-        out = out * _exact_div(num, q ** (i + 1) - 1)
-    return out
+        lead = _split_numerator(q, m, n, lam - 1)
+    return lead * _split_product(q, m, n, lam - 1)
 
 
-def chain_family_counts(
-    kind: str,
-    spec: ChainRingSpec,
-    n: int,
-    lambdas: Sequence[int],
-    omega: int = 0,
+def _without_one(
+    spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int]
 ) -> int:
-    """Number of admissible chains in one membership family.
-
-    kind "N": chains whose doubly-even anchor member misses the all-one
-    word.  kind "Y": the all-one word enters exactly omega steps below the
-    anchor.  kind "M": it reaches the break-depth member (only when the
-    break sits in the lower half).  kind "Z": it reaches the very first
-    member (only when the break sits in the upper half).
-    """
-    _check_type(spec, lambdas)
-    return _family_count(kind, spec, n, lambdas, _cum(lambdas), omega)
-
-
-def _family_count(
-    kind: str,
-    spec: ChainRingSpec,
-    n: int,
-    lambdas: Sequence[int],
-    cum: Callable[[int], int],
-    omega: int = 0,
-) -> int:
+    """Admissible chains whose doubly even anchor member misses the all-one word."""
     e = spec.e
     s = e // 2
     theta = e % 2
-    kappa = spec.kappa
-    kappa1 = (kappa - 1) // 2
+    kappa1 = (spec.kappa - 1) // 2
     m = spec.m
     q = spec.q
     anchor = cum(s - kappa1)
@@ -261,110 +235,92 @@ def _family_count(
     def lam(i: int) -> int:
         return lambdas[i - 1]
 
-    if kind == "N":
-        if top == 0:
-            return 1
-        head = 1
-        for i in range(1, s - kappa1 + 1):
-            head *= gaussian_binomial(cum(i), lam(i), q)
-        tail = 1
-        for j in range(s - kappa1 + 1, s + theta + 1):
-            tail *= gaussian_binomial(cum(j) - anchor, lam(j), q)
-        if n % 2 == 1:
-            base = sigma(n, anchor, m, False)
-            return base * head * tail * _ratio_product(q, n, anchor, anchor, top, 1)
-        d0 = _d_zero(q, m, n, anchor)
-        b0 = _b_zero(q, m, n, anchor)
-        if top == anchor:
-            return (d0 + b0) * head
-        gap = q ** (top - anchor) - 1
-        lead = d0 * _exact_div(q ** (n - top - anchor) - 1, gap) + b0 * _exact_div(
-            q ** (n - 2 * top) + q ** (top - anchor) - 2, gap
-        )
-        return lead * head * tail * _ratio_product(q, n, anchor, anchor, top - 1, 2)
-
-    if kind == "Y":
-        entry = s - kappa1 - omega
-        if entry < 1 or cum(entry) == 0:
-            return 0
-        out = sigma(n, anchor, m, True)
-        out *= q ** cum(entry - 1)
-        out *= gaussian_binomial(anchor - 1, anchor - cum(entry), q)
-        out *= gaussian_binomial(cum(entry) - 1, cum(entry - 1), q)
-        for i in range(1, entry):
-            out *= gaussian_binomial(cum(i), lam(i), q)
-        for a in range(entry + 1, s - kappa1 + 1):
-            out *= gaussian_binomial(cum(a) - cum(entry), lam(a), q)
-        for b in range(s - kappa1 + 1, s + theta + 1):
-            out *= gaussian_binomial(cum(b) - anchor, lam(b), q)
-        return out * _ratio_product(q, n, anchor, anchor, top, 0)
-
-    if kind == "M":
-        if 2 * kappa > e:
-            raise ValueError("this family needs the break in the lower half")
-        entry = s - kappa + theta
-        if entry < 1 or cum(entry) == 0:
-            return 0
-        out = sigma(n, anchor, m, True)
-        out *= _ratio_product(q, n, anchor, anchor, top, 0)
-        out *= gaussian_binomial(anchor - 1, anchor - cum(entry), q)
-        for i in range(1, entry + 1):
-            out *= gaussian_binomial(cum(i), lam(i), q)
-        for b in range(entry + 1, s - kappa1 + 1):
-            out *= gaussian_binomial(cum(b) - cum(entry), lam(b), q)
-        for d in range(s - kappa1 + 1, s + theta + 1):
-            out *= gaussian_binomial(cum(d) - anchor, lam(d), q)
-        return out
-
-    if kind == "Z":
-        if 2 * kappa <= e:
-            raise ValueError("this family needs the break in the upper half")
-        if cum(1) == 0:
-            return 0
-        out = sigma(n, anchor, m, True)
-        out *= gaussian_binomial(anchor - 1, anchor - cum(1), q)
-        out *= _ratio_product(q, n, anchor, anchor, top, 0)
-        for d in range(2, s - kappa1 + 1):
-            out *= gaussian_binomial(cum(d) - cum(1), lam(d), q)
-        for b in range(s - kappa1 + 1, s + theta + 1):
-            out *= gaussian_binomial(cum(b) - anchor, lam(b), q)
-        return out
-
-    raise ValueError(f"unknown chain family {kind!r}")
+    if top == 0:
+        return 1
+    head = 1
+    for i in range(1, s - kappa1 + 1):
+        head *= gaussian_binomial(cum(i), lam(i), q)
+    tail = 1
+    for j in range(s - kappa1 + 1, s + theta + 1):
+        tail *= gaussian_binomial(cum(j) - anchor, lam(j), q)
+    if n % 2 == 1:
+        base = sigma(n, anchor, m, False)
+        return base * head * tail * _ratio_product(q, n, anchor, anchor, top, 1)
+    d0 = _d_zero(q, m, n, anchor)
+    b0 = _b_zero(q, m, n, anchor)
+    if top == anchor:
+        return (d0 + b0) * head
+    gap = q ** (top - anchor) - 1
+    lead = d0 * _exact_div(q ** (n - top - anchor) - 1, gap) + b0 * _exact_div(
+        q ** (n - 2 * top) + q ** (top - anchor) - 2, gap
+    )
+    return lead * head * tail * _ratio_product(q, n, anchor, anchor, top - 1, 2)
 
 
-def b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
-    """Weighted chain count: each family weighted by its lift multiplier."""
-    _check_type(spec, lambdas)
-    return _b_theta(spec, n, lambdas, _cum(lambdas))
+def _with_one(
+    spec: ChainRingSpec,
+    n: int,
+    lambdas: Sequence[int],
+    cum: Callable[[int], int],
+    entry: int,
+    exact: bool,
+) -> int:
+    """Admissible chains whose member `entry` holds the all-one word.
+
+    With exact, member entry-1 must miss it, so the word enters exactly at
+    entry.  The count is one Gaussian binomial per member, times the doubly
+    even anchor codes that hold the word, times the ratio product from the
+    anchor to the top member.
+    """
+    if entry < 1 or cum(entry) == 0:
+        return 0
+    e = spec.e
+    q = spec.q
+    a = e // 2 - (spec.kappa - 1) // 2
+    anchor = cum(a)
+    c, c0 = cum(entry), cum(entry - 1)
+    out = sigma(n, anchor, spec.m, True)
+    out *= gaussian_binomial(anchor - 1, anchor - c, q)
+    out *= q**c0 * gaussian_binomial(c - 1, c0, q) if exact else gaussian_binomial(c, c0, q)
+    for i in range(1, entry):
+        out *= gaussian_binomial(cum(i), lambdas[i - 1], q)
+    for i in range(entry + 1, a + 1):
+        out *= gaussian_binomial(cum(i) - c, lambdas[i - 1], q)
+    for i in range(a + 1, e - e // 2 + 1):
+        out *= gaussian_binomial(cum(i) - anchor, lambdas[i - 1], q)
+    return out * _ratio_product(q, n, anchor, anchor, cum(e - e // 2), 0)
 
 
 def _b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int]) -> int:
+    """Admissible chains, each weighted by its lift multiplier.
+
+    The weight depends only on where the all-one word enters the chain.
+    The doubly even anchor member can hold the word only when 4 divides n.
+    """
+    total = _without_one(spec, n, lambdas, cum)
+    if n % 4:
+        return total
     e = spec.e
-    s = e // 2
-    theta = e % 2
+    q = spec.q
     kappa = spec.kappa
     kappa1 = (kappa - 1) // 2
-    q = spec.q
-    r8 = n % 8
-    base = _family_count("N", spec, n, lambdas, cum)
-    if r8 in (1, 2, 3, 5, 6, 7):
-        return base
+    a = e // 2 - kappa1
     if 2 * kappa <= e:
-        total = base
+        # the break sits in the lower half
         if _break_crossable(n, spec.m):
-            total += 2 * q**kappa1 * _family_count("M", spec, n, lambdas, cum)
-        for omega in range(0, kappa1 - theta + 1):
-            total += q**omega * _family_count("Y", spec, n, lambdas, cum, omega)
-        return total
-    total = base + q ** (s - kappa1 - 1) * _family_count("Z", spec, n, lambdas, cum)
-    for omega in range(0, s - kappa1 - 1):
-        total += q**omega * _family_count("Y", spec, n, lambdas, cum, omega)
+            entry = e // 2 - kappa + e % 2
+            total += 2 * q**kappa1 * _with_one(spec, n, lambdas, cum, entry, False)
+        omegas = range(kappa1 - e % 2 + 1)
+    else:
+        total += q ** (a - 1) * _with_one(spec, n, lambdas, cum, 1, False)
+        omegas = range(a - 1)
+    for omega in omegas:
+        total += q**omega * _with_one(spec, n, lambdas, cum, a - omega, True)
     return total
 
 
 # ---------------------------------------------------------------------------
-# per-chain and per-type counts
+# per-type counts
 # ---------------------------------------------------------------------------
 
 
@@ -404,57 +360,6 @@ def _lift_binomials(
             lambdas[lev - 1] + n - cum(lev) - cum(e + 1 - lev), lambdas[lev - 1], q
         )
     return out
-
-
-def per_chain_lift_count(
-    spec: ChainRingSpec,
-    n: int,
-    lambdas: Sequence[int],
-    chain_one: Callable[[int], bool],
-) -> int:
-    """Total lifts of one fixed admissible chain to the full depth.
-
-    chain_one(i) must report membership of the all-one word in the i-th
-    chain member (False for i <= 0); memberships are monotone up the
-    chain.  Chains blocked at the break crossing are refused.
-    """
-    _check_type(spec, lambdas)
-    e = spec.e
-    s = e // 2
-    theta = e % 2
-    kappa = spec.kappa
-    kappa1 = (kappa - 1) // 2
-    q = spec.q
-    eps = 0
-    mu = 0
-    if 2 * kappa <= e:
-        if chain_one(s - kappa + theta):
-            if not _break_crossable(n, spec.m):
-                raise ValueError(
-                    "chain admits no lifts: all-one word at break depth with "
-                    f"length {n} mod 8 = {n % 8} over odd field degree"
-                )
-            eps, mu = 1, kappa1
-        else:
-            for omega in range(1, kappa1 - theta + 1):
-                if chain_one(s - kappa1 - omega) and not chain_one(
-                    s - kappa1 - omega - 1
-                ):
-                    eps, mu = 0, omega
-                    break
-    else:
-        if chain_one(1):
-            mu = s - kappa1 - 1
-        else:
-            for omega in range(1, s - kappa1 - 1):
-                if chain_one(s - kappa1 - omega) and not chain_one(
-                    s - kappa1 - omega - 1
-                ):
-                    mu = omega
-                    break
-    cum = _cum(lambdas)
-    exp = _lift_exponent(spec, n, cum) + mu
-    return 2**eps * q**exp * _lift_binomials(spec, n, lambdas, cum)
 
 
 def _sd_count(spec: ChainRingSpec, n: int, cum: Callable[[int], int], bt: int) -> int:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 GRElem = Tuple[int, ...]  # coefficients of 1, x, ..., x^(m-1), each mod 2^s
 
@@ -140,18 +139,6 @@ def gr_pow(R: GRSpec, a: GRElem, k: int) -> GRElem:
     return out
 
 
-def gr_is_unit(R: GRSpec, a: GRElem) -> bool:
-    return residue(R, a) != 0
-
-
-def gr_inv(R: GRSpec, a: GRElem) -> GRElem:
-    """Inverse of a unit, via the unit group order (2^m - 1) * 2^((s-1)m)."""
-    if not gr_is_unit(R, a):
-        raise ValueError(f"{a} is not a unit")
-    order = (R.q - 1) << ((R.s - 1) * R.m)
-    return gr_pow(R, a, order - 1)
-
-
 # ---------------------------------------------------------------------------
 # residue field F_{2^m} (elements as bitmasks) and Teichmuller lifts
 # ---------------------------------------------------------------------------
@@ -211,38 +198,8 @@ def field_inv(R: GRSpec, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# textual formats: elements as "c0+c1*x+...", specs as "GR(2^s,m;f)",
-# residue-field elements in power-of-generator notation
+# textual format: residue-field elements in power-of-generator notation
 # ---------------------------------------------------------------------------
-
-_TERM_RE = re.compile(r"(?:(\d+)\s*\*\s*)?x(?:\^(\d+))?$|(\d+)$")
-
-
-def format_poly(coeffs: Sequence[int]) -> str:
-    """Coefficient sequence as "c0+c1*x+c2*x^2+...", every term explicit."""
-    parts = [str(coeffs[0])]
-    for i, c in enumerate(coeffs[1:], start=1):
-        parts.append(f"{c}*x" if i == 1 else f"{c}*x^{i}")
-    return "+".join(parts)
-
-
-def parse_poly(text: str, length: int, char: int) -> Tuple[int, ...]:
-    """Inverse of format_poly; sparse input with bare x-powers also parses."""
-    coeffs = [0] * length
-    for raw in text.split("+"):
-        term = _TERM_RE.fullmatch(raw.strip())
-        if term is None:
-            raise ValueError(f"cannot parse polynomial term {raw!r}")
-        if term.group(3) is not None:
-            coeffs[0] += int(term.group(3))
-            continue
-        c = int(term.group(1)) if term.group(1) else 1
-        k = int(term.group(2)) if term.group(2) else 1
-        if k >= length:
-            raise ValueError(f"term {raw!r} exceeds degree {length - 1}")
-        coeffs[k] += c
-    return tuple(c % char for c in coeffs)
-
 
 def format_field_elem(R: GRSpec, c: int) -> str:
     """Residue-field element as "0", "1", or a power of the generator."""

@@ -36,7 +36,6 @@ from .ringcodes import (
     fill_candidates,
     fill_plan,
     is_self_orthogonal_ring,
-    rv_teich,
     torsion_code,
 )
 
@@ -399,7 +398,7 @@ def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
     spec = chain.ring
     level = 2 + spec.e % 2
     mat = chain_matrix(chain)
-    templates = [tuple(rv_teich(spec, row) for row in rows) for rows, _ in mat]
+    templates = [rows for rows, _ in mat]
     carried = tuple((piv, 1) for _, piv in mat)
     _, profile, bottoms = _lift_plan(spec, chain.n, level, spec.e // 2 - 1, carried, new_count)
     for rows, pivots, plan in bottoms:

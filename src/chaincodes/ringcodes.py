@@ -60,10 +60,6 @@ def rv_scale(spec: ChainRingSpec, c: CRElem, v: RVec) -> RVec:
     return tuple(mul(c, x) for x in v)
 
 
-def rv_dot(spec: ChainRingSpec, a: RVec, b: RVec) -> CRElem:
-    return spec.ops.dot(a, b)
-
-
 def rv_truncate(spec: ChainRingSpec, v: RVec, level: int) -> RVec:
     keep = truncate_elem(spec, -1, level)  # the digits below level, all set
     return tuple(x & keep for x in v)
@@ -72,11 +68,6 @@ def rv_truncate(spec: ChainRingSpec, v: RVec, level: int) -> RVec:
 def rv_residue(spec: ChainRingSpec, v: RVec) -> Tuple[int, ...]:
     """Residue-field image of a vector, entrywise (field bitmasks)."""
     return tuple(pi0(spec, x) for x in v)
-
-
-def rv_teich(spec: ChainRingSpec, fvec: Sequence[int]) -> RVec:
-    """Coordinatewise multiplicative lift of a residue-field vector."""
-    return tuple(from_u_adic(spec, (d,)) for d in fvec)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +276,8 @@ def bottom_blocks(
 ) -> List[Tuple[Tuple[RVec, ...], Tuple[int, ...]]]:
     """Every count-dimensional subspace of the free columns, as a block.
 
-    Each canonical basis is placed at the free columns and lifted entrywise
-    to Teichmueller digits; returns (rows, pivot columns) per subspace.
+    Each canonical basis is placed at the free columns; a residue digit is
+    its own Teichmueller lift.  Returns (rows, pivot columns) per subspace.
     """
     out = []
     # looked up on the module at call time, so a rebinding there (the
@@ -297,7 +288,7 @@ def bottom_blocks(
             full = [0] * n
             for pos, val in zip(free_cols, frow):
                 full[pos] = val
-            rows.append(rv_teich(spec, full))
+            rows.append(tuple(full))
         out.append((tuple(rows), tuple(free_cols[p] for p in sub.pivots)))
     return out
 

@@ -15,7 +15,6 @@ from chaincodes.ringcodes import (
     is_self_dual_ring,
     is_self_orthogonal_ring,
     make_code,
-    rv_dot,
     satisfies_deep_orthogonality,
     scaled_generators,
     standard_form,
@@ -149,7 +148,7 @@ def test_dual_type_formula_and_involution():
         # every pair of generators is orthogonal at full precision
         for a in scaled_generators(code):
             for b in scaled_generators(dual):
-                assert u_valuation(spec, rv_dot(spec, a, b)) >= spec.e
+                assert u_valuation(spec, spec.ops.dot(a, b)) >= spec.e
         assert codes_equal(dual_code_ring(dual), code)
 
 
@@ -176,7 +175,7 @@ def test_self_orthogonal_matches_codeword_dots():
         code = random_code(rng, spec, 2)
         words = list(enumerate_codewords(code))
         slow = all(
-            u_valuation(spec, rv_dot(spec, a, b)) >= spec.e
+            u_valuation(spec, spec.ops.dot(a, b)) >= spec.e
             for a in words
             for b in words
         )
