@@ -285,12 +285,82 @@ def _ref_from_int(spec: ChainRingSpec, a: int) -> _Ref:
 
 
 class Ops(NamedTuple):
-    """Element arithmetic of one ring, on digit indices."""
+    """Element arithmetic of one ring, on digit indices.
+
+    coords and digits translate between a digit index and the element's
+    packed additive coordinates (see _coord_high); scale[d](a) is T(d) a,
+    the digits of a scaled by d in the residue field.
+    """
 
     add: Callable[[int, int], int]
     neg: Callable[[int], int]
     mul: Callable[[int, int], int]
     dot: Callable[[Sequence[int], Sequence[int]], int]  # sum of entrywise products
+    coords: Callable[[int], int]
+    digits: Callable[[int], int]
+    scale: Tuple[Callable[[int], int], ...]
+
+
+def _field_widths(spec: ChainRingSpec) -> List[int]:
+    """Bit widths of the coordinate fields, m per coefficient of the
+    reference tuple: s below the torsion cut t, s - 1 from t on."""
+    s = spec.gr.s
+    return [s if i < spec.t else s - 1 for i in range(spec.kappa) for _ in range(spec.m)]
+
+
+def _coord_high(spec: ChainRingSpec) -> int:
+    """The top bit of every field of the packed additive coordinates.
+
+    The additive group of R is Z_{2^s}^(m t) x Z_{2^(s-1)}^(m (kappa-t)):
+    the coefficients of the reference tuple.  Packed side by side into one
+    int of m*e bits (the coordinates of an element), two elements add by
+    one carry-masked (SWAR) integer add: with low the other bits,
+    ((x & low) + (y & low)) ^ ((x ^ y) & high).
+    """
+    high = pos = 0
+    for width in _field_widths(spec):
+        pos += width
+        high |= 1 << (pos - 1)
+    return high
+
+
+# one entry per (ring, length) in use; bounded for long-lived processes
+@lru_cache(maxsize=64)
+def lane_masks(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
+    """(low, high) of n coordinate lanes of m*e bits, lane i at bit m*e*i.
+
+    Vectors packed this way add lane by lane with the same carry rule as
+    single elements: ((x & low) + (y & low)) ^ ((x ^ y) & high).
+    """
+    width = spec.m * spec.e
+    high = _coord_high(spec) * sum(1 << (width * i) for i in range(n))
+    return ((1 << (width * n)) - 1) ^ high, high
+
+
+def _pack_ref(spec: ChainRingSpec, a: _Ref) -> int:
+    """The packed additive coordinates of a reference element."""
+    out = shift = 0
+    for c, width in zip((c for coeff in a for c in coeff), _field_widths(spec)):
+        out |= c << shift
+        shift += width
+    return out
+
+
+def _unpack_ref(spec: ChainRingSpec, c: int) -> _Ref:
+    flat = []
+    for width in _field_widths(spec):
+        flat.append(c & ((1 << width) - 1))
+        c >>= width
+    m = spec.m
+    return tuple(tuple(flat[i : i + m]) for i in range(0, len(flat), m))
+
+
+def _times_zero(a: int) -> int:
+    return 0
+
+
+def _times_one(a: int) -> int:
+    return a
 
 
 # Rings with at most this many elements get the table kernel.  R8,2 is
@@ -302,45 +372,27 @@ _TABLE_MAX = 1 << 16
 
 
 def _table_ops(spec: ChainRingSpec) -> Ops:
-    """The kernel on packed additive coordinates.
+    """The kernel on packed additive coordinates (see _coord_high).
 
-    The additive group of R is Z_{2^s}^(m t) x Z_{2^(s-1)}^(m (kappa-t)):
-    the coefficients of the reference tuple.  Packed side by side into one
-    int of m*e bits (the coordinates of an element), two elements add by
-    one carry-masked (SWAR) integer add.  coords and digits translate
-    between digit indices and coordinates.  Because Teichmuller digits
-    multiply, T(c) T(d) = T(cd), the product is a b = sum_j u^j T(b_j) a,
-    and each term is carry-free: the digits of a scaled by b_j in the residue
-    field (the scale tables) and shifted up j places.
+    coords and digits are arrays over all elements.  Because Teichmuller
+    digits multiply, T(c) T(d) = T(cd), the product is
+    a b = sum_j u^j T(b_j) a, and each term is carry-free: the digits of a
+    scaled by b_j in the residue field (the scale tables) and shifted up j
+    places.
     """
     m, e, q = spec.m, spec.e, spec.q
-    s = spec.gr.s
-    high = ones = pos = 0
-    for i in range(spec.kappa):
-        width = s if i < spec.t else s - 1
-        for _ in range(m):
-            high |= 1 << (pos + width - 1)
-            ones |= 1 << pos
-            pos += width
-    full = (1 << pos) - 1  # pos == m*e
+    high = _coord_high(spec)
+    full = (1 << (m * e)) - 1
     low = full ^ high
+    ones = ((high << 1) | 1) & full  # the lowest bit of every field
     qmask = q - 1
-
-    def pack(a: _Ref) -> int:
-        out, shift = 0, 0
-        for i, coeff in enumerate(a):
-            width = s if i < spec.t else s - 1
-            for c in coeff:
-                out |= c << shift
-                shift += width
-        return out
 
     # coords[a] for a = d q^i + lo, lo < q^i: coords[lo] + coords of u^i T(d)
     coords = array("H", [0])
     for i, terms in enumerate(_ref_digit_terms(spec)):
         block = coords[: q**i]
         for d in range(1, q):
-            c = pack(terms[d])
+            c = _pack_ref(spec, terms[d])
             cl = c & low
             coords.extend(((x & low) + cl) ^ ((x ^ c) & high) for x in block)
     digits = array("H", bytes(2 * len(coords)))
@@ -383,14 +435,17 @@ def _table_ops(spec: ChainRingSpec) -> Ops:
                 shift += m
         return digits[acc]
 
-    return Ops(add, neg, mul, dot)
+    scalers = (_times_zero, _times_one) + tuple(t.__getitem__ for t in scale[2:])
+    return Ops(add, neg, mul, dot, coords.__getitem__, digits.__getitem__, scalers)
 
 
 def _reference_ops(spec: ChainRingSpec) -> Ops:
     """The kernel of rings too large for tables: the reference arithmetic.
 
     A conversion between digit index and tuple costs about e ring products,
-    so both directions keep the elements they saw last.
+    so both directions keep the elements they saw last, and so do coords
+    and digits, which pack the tuples on demand.  The digitwise scale needs
+    no tuples at all.
     """
 
     @lru_cache(maxsize=4096)
@@ -416,7 +471,30 @@ def _reference_ops(spec: ChainRingSpec) -> Ops:
             acc = _ref_add(spec, acc, _ref_mul(spec, elem(a), elem(b)))
         return back(acc)
 
-    return Ops(add, neg, mul, dot)
+    @lru_cache(maxsize=4096)
+    def coords(a: int) -> int:
+        return _pack_ref(spec, elem(a))
+
+    @lru_cache(maxsize=4096)
+    def digits(c: int) -> int:
+        return back(_unpack_ref(spec, c))
+
+    def scaler(d: int) -> Callable[[int], int]:
+        m, mask = spec.m, spec.q - 1
+        prods = [field_mul(spec.gr, d, x) for x in range(spec.q)]
+
+        def times(a: int) -> int:
+            out = shift = 0
+            while a:
+                out |= prods[a & mask] << shift
+                a >>= m
+                shift += m
+            return out
+
+        return times
+
+    scalers = (_times_zero, _times_one) + tuple(scaler(d) for d in range(2, spec.q))
+    return Ops(add, neg, mul, dot, coords, digits, scalers)
 
 
 # A process works with a handful of rings; the bound keeps a long-lived one

@@ -1,10 +1,11 @@
 """Exhaustive cross-checks for the closed-form counts.
 
 Everything here recounts from first principles: candidate generator
-matrices are enumerated directly, span membership settles duplicates, and
-doubly even means every single codeword passes, not just a basis.  The
-searches are deliberately naive so they can arbitrate the fast paths;
-budget guards keep them at desk scale unless explicitly raised.
+matrices are enumerated directly, whole codeword sets
+(ringcodes.code_signature) settle duplicates, and doubly even means every
+single codeword passes, not just a basis.  The searches are deliberately
+naive so they can arbitrate the fast paths; budget guards keep them at
+desk scale unless explicitly raised.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _matrix_candidates(
     spec: ChainRingSpec, n: int, profile: Sequence[int], level: int
 ) -> Iterator[RingCode]:
     """Every standard-form-shaped matrix of the given type, one code each
-    up to duplicate pivot placements (callers dedup by span)."""
+    up to duplicate pivot placements (callers dedup by codeword set)."""
     gamma = len(profile) - level
     nblocks = len(profile)
     for pivots in _pivot_placements(profile, n):
@@ -182,7 +183,7 @@ def enumerate_codes_of_type(
 ) -> Iterator[RingCode]:
     """All distinct codes of the given type, one representative each.
 
-    The predicate, if any, runs before the span-based deduplication, so
+    The predicate, if any, runs before the codeword-set deduplication, so
     cheap filters keep the walk cheap.  Raises BudgetError when the raw
     candidate count exceeds the budget.
     """
@@ -248,8 +249,8 @@ def brute_force_lift_count(
     of the free columns, and the defining filters do all the work:
     self-orthogonality, the diagonal conditions, the innermost torsion
     code matching the right chain member (chain_codes, innermost first),
-    and truncation reproducing prev.  Surviving matrices with equal spans
-    count once.  Because prev's own digits are never touched, the recount
+    and truncation reproducing prev.  Surviving matrices with equal
+    codeword sets count once.  Because prev's own digits are never touched, the recount
     stays within prev's branch of the tower, so at a full-depth target
     (where distinct lifts always span distinct modules) it must equal the
     number of lifts the fast path yields; the test suite compares the two

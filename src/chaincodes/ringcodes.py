@@ -32,6 +32,7 @@ from .chain import (
     cr_u_pow,
     cr_zero,
     from_u_adic,
+    lane_masks,
     pi0,
     truncate_elem,
     u_valuation,
@@ -45,14 +46,6 @@ RVec = Tuple[CRElem, ...]
 # ---------------------------------------------------------------------------
 # vector helpers
 # ---------------------------------------------------------------------------
-
-
-def rv_zero(spec: ChainRingSpec, n: int) -> RVec:
-    return (cr_zero(spec),) * n
-
-
-def rv_add(spec: ChainRingSpec, a: RVec, b: RVec) -> RVec:
-    return tuple(map(spec.ops.add, a, b))
 
 
 def rv_scale(spec: ChainRingSpec, c: CRElem, v: RVec) -> RVec:
@@ -127,8 +120,12 @@ class RingCode:
 
     def dual_level_type(self) -> Tuple[int, ...]:
         """Coarse type of the annihilator dual, by the reversal rule."""
-        t = self.level_type
-        return (self.n - sum(t),) + tuple(reversed(t[1:]))
+        return _reversal(self.n, self.level_type)
+
+
+def _reversal(n: int, level_type: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The coarse dual type of a length-n code of the given coarse type."""
+    return (n - sum(level_type),) + tuple(reversed(level_type[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,43 +430,60 @@ def codes_equal(a: RingCode, b: RingCode) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_codewords(code: RingCode) -> Iterator[RVec]:
-    """All codewords, as vectors over the level-l quotient.
-
-    Coefficients run over representatives with precision digits; that is
-    exactly one coefficient per distinct multiple of each scaled row.
-    """
-    spec = code.ring
-    level = code.level
-    words: List[RVec] = [rv_zero(spec, code.n)]
-    for h, rows in enumerate(code.block_rows, start=1):
-        p = code.u_power(h)
-        # every coefficient with prec digits, the last digit varying fastest
-        coeffs = [0]
-        for shift in range(0, spec.m * code.precision(h), spec.m):
-            coeffs = [r | d << shift for r in coeffs for d in range(spec.q)]
-        for w in rows:
-            scaled = rv_truncate(spec, rv_scale(spec, cr_u_pow(spec, p), w), level)
-            multiples = [
-                rv_truncate(spec, rv_scale(spec, r, scaled), level) for r in coeffs
-            ]
-            words = [
-                rv_add(spec, acc, mult) for acc in words for mult in multiples
-            ]
-    if level < spec.e:
-        # sums in R_e carry into digits at and above the level
-        words = [rv_truncate(spec, wd, level) for wd in words]
-    seen = set()
-    for wd in words:
-        if wd in seen:
-            continue
-        seen.add(wd)
-        yield wd
-
-
 def code_signature(code: RingCode) -> frozenset:
-    """The codeword set itself; the bluntest possible equality witness."""
-    return frozenset(enumerate_codewords(code))
+    """The codeword set itself; the bluntest possible equality witness.
+
+    A codeword is one int of n lanes of m*e bits, lane i holding the packed
+    additive coordinates (spec.ops.coords) of entry i, so two words add by
+    one lane-masked SWAR add (chain.lane_masks).  The multiples of a row w
+    at scale u^p are the sums of u^j T(d_j) w over p <= j < level, so the
+    set is the sumset of the q-element sets {u^j T(d) w : d in F_q}: a
+    digitwise field scale (spec.ops.scale) and a digit shift per entry, no
+    ring product.  Below full depth the sums carry into digits at and above
+    the level, so each word is decoded, truncated and packed again.
+    """
+    spec, level, n = code.ring, code.level, code.n
+    ops = spec.ops
+    coords, m = ops.coords, spec.m
+    width = m * spec.e
+    full = (1 << width) - 1
+    low, high = lane_masks(spec, n)
+
+    def pack(v: Sequence[CRElem], shift: int = 0) -> int:
+        """The word u^(shift/m) v, packed."""
+        out = 0
+        for x in reversed(v):
+            out = (out << width) | coords((x << shift) & full)
+        return out
+
+    words = {0}
+    for w, p in code.rows_with_powers():
+        scaled = [w] + [tuple(map(times, w)) for times in ops.scale[2:]]
+        for shift in range(m * p, m * level, m):
+            gens = [pack(v, shift) for v in scaled]
+            if not gens[0]:  # u^j w = 0, and so are its later shifts
+                break
+            words = {
+                ((x & low) + (g & low)) ^ ((x ^ g) & high) for x in words for g in gens
+            } | words
+    if level < spec.e:
+        keep = truncate_elem(spec, -1, level)
+        words = {pack([x & keep for x in _unpack(spec, n, wd)]) for wd in words}
+    return frozenset(words)
+
+
+def _unpack(spec: ChainRingSpec, n: int, word: int) -> RVec:
+    """The entries of a packed codeword, as digit indices."""
+    digits, width = spec.ops.digits, spec.m * spec.e
+    lane = (1 << width) - 1
+    return tuple(digits((word >> (width * i)) & lane) for i in range(n))
+
+
+def enumerate_codewords(code: RingCode) -> Iterator[RVec]:
+    """All codewords, as vectors over the level-l quotient: code_signature
+    decoded."""
+    for word in code_signature(code):
+        yield _unpack(code.ring, code.n, word)
 
 
 def torsion_code(code: RingCode, i: int) -> FieldCode:
@@ -554,7 +568,8 @@ def is_self_orthogonal_ring(code: RingCode) -> bool:
 
 def is_self_dual_ring(code: RingCode) -> bool:
     """Self-orthogonal with the palindromic type that forces equality."""
-    if code.dual_level_type() != code.level_type:
+    level_type = code.level_type
+    if _reversal(code.n, level_type) != level_type:
         return False
     return is_self_orthogonal_ring(code)
 

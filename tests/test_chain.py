@@ -17,6 +17,7 @@ from chaincodes.chain import (
     cr_zero,
     format_ring_spec,
     from_u_adic,
+    lane_masks,
     make_ring,
     parse_ring_spec,
     pi0,
@@ -275,6 +276,8 @@ def test_kernel_matches_reference_on_samples(label, samples):
     def ref(op, *args):
         return _ref_to_int(spec, op(spec, *(_ref_from_int(spec, x) for x in args)))
 
+    width = spec.m * spec.e  # bits of one element's packed coordinates
+
     for _ in range(samples):
         a, b, c = (rng.randrange(size) for _ in range(3))
         assert cr_add(spec, a, b) == ref(_ref_add, a, b)
@@ -291,6 +294,16 @@ def test_kernel_matches_reference_on_samples(label, samples):
         for x, y in zip(xs, ys):
             want = cr_add(spec, want, cr_mul(spec, x, y))
         assert spec.ops.dot(xs, ys) == want
+        # packed coordinates: round trip, lane-wise add, digitwise scale
+        ops = spec.ops
+        assert ops.digits(ops.coords(a)) == a
+        low, high = lane_masks(spec, 3)
+        packed = [sum(ops.coords(x) << (width * i) for i, x in enumerate(v)) for v in (xs, ys)]
+        total = ((packed[0] & low) + (packed[1] & low)) ^ ((packed[0] ^ packed[1]) & high)
+        lanes = [ops.digits((total >> (width * i)) & ((1 << width) - 1)) for i in range(3)]
+        assert lanes == [ops.add(x, y) for x, y in zip(xs, ys)]
+        d = rng.randrange(spec.q)
+        assert ops.scale[d](a) == cr_mul(spec, d, a)
 
 
 def test_ring_construction_builds_no_kernel():

@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from chaincodes.chain import cr_add, cr_mul, from_u_adic, preset, truncate_elem, u_valuation
+from chaincodes.chain import (
+    PRESET_NAMES,
+    cr_add,
+    cr_mul,
+    from_u_adic,
+    make_ring,
+    parse_ring_spec,
+    preset,
+    truncate_elem,
+    u_valuation,
+)
 from chaincodes.fieldcodes import is_subcode
 from chaincodes.ringcodes import (
     code_signature,
@@ -22,7 +32,7 @@ from chaincodes.ringcodes import (
     truncate_code,
 )
 
-from _util import random_code, so_pool
+from _util import random_code, reference_codewords, so_pool
 
 
 def _random_codes(seed, counts=((("R4,1", 3), 60), (("R6,2", 2), 40), (("R8,2", 2), 30))):
@@ -86,6 +96,40 @@ def test_size_matches_codeword_count():
         words = list(enumerate_codewords(code))
         assert len(words) == code.size()
         assert len(set(words)) == len(words)
+
+
+SIGNATURE_RINGS = PRESET_NAMES + ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)", "m=3")
+
+
+@pytest.mark.parametrize("label", SIGNATURE_RINGS)
+def test_signature_decodes_to_the_reference_codewords(label):
+    # random codes whose rows start at random depths, at full depth and at
+    # every lower level truncate_code reaches; the m=3 ring (2^24 elements)
+    # runs on the reference kernel
+    if label == "m=3":  # a reference product or conversion costs about 0.3 ms
+        spec, n, most = make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)), 2, 512
+    else:
+        spec = preset(label) if label in PRESET_NAMES else parse_ring_spec(label)
+        n, most = (3 if spec.q == 2 else 2), 4096
+    rng = random.Random(label)
+    full = truncate_elem(spec, -1, spec.e)
+    checked = 0
+    for _ in range(25):
+        rows = []
+        for _ in range(rng.randint(0, n)):
+            depth = spec.m * rng.randrange(spec.e)
+            rows.append(tuple((rng.randrange(spec.size()) << depth) & full for _ in range(n)))
+        code = make_code(spec, spec.e, n, rows)
+        for level in range(spec.e, 0, -2):
+            trunc = truncate_code(code, level)
+            if trunc.size() > most:
+                continue
+            want = reference_codewords(trunc)
+            assert len(want) == trunc.size()
+            assert len(code_signature(trunc)) == len(want)
+            assert set(enumerate_codewords(trunc)) == want
+            checked += 1
+    assert checked >= 25
 
 
 def test_codewords_below_full_depth_lie_in_the_level_quotient():
