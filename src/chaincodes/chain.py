@@ -9,9 +9,11 @@ m*i .. m*i+m-1 hold the Teichmuller digit d_i of u^i as a residue-field
 bitmask, so a = sum_i u^i T(d_i).  Reading digits, truncating, the
 valuation, multiplying by a power of u and dividing by u are shifts and
 masks.  Addition and multiplication go through the ring's kernel
-(ChainRingSpec.ops), built on the first arithmetic call: packed additive
-coordinates for rings of at most _TABLE_MAX elements, and for larger rings
-the nested-tuple reference arithmetic of this module.
+(ChainRingSpec.ops), built on the first arithmetic call: one body on packed
+additive coordinates for every ring, whose look-ups between digit index and
+coordinates are arrays for rings of at most _TABLE_MAX elements and are
+computed per element for larger rings.  The nested-tuple arithmetic of this
+module is the reference the kernel is built from and tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .galois import (
     gr_one,
     gr_zero,
     make_galois_ring,
-    residue,
     teichmuller_set,
 )
 
@@ -140,8 +141,8 @@ def format_ring_spec(spec: ChainRingSpec) -> str:
 # reference arithmetic on coefficient tuples (private)
 #
 # An element is the tuple of its GR(2^s, m) coefficients of 1, y, ...,
-# y^(kappa-1).  This is the definition the kernel is built from and tested
-# against, and the only arithmetic of rings too large for the kernel tables.
+# y^(kappa-1).  This is the definition the kernel is built from (the
+# coordinates of the terms u^i T(d)) and tested against.
 # ---------------------------------------------------------------------------
 
 _Ref = Tuple[GRElem, ...]
@@ -204,17 +205,7 @@ def _ref_mul(spec: ChainRingSpec, a: _Ref, b: _Ref) -> _Ref:
     return _canonical(spec, prod[:k])
 
 
-def _ref_pow(spec: ChainRingSpec, a: _Ref, n: int) -> _Ref:
-    out = _ref_y_pow(spec, 0)
-    while n:
-        if n & 1:
-            out = _ref_mul(spec, out, a)
-        a = _ref_mul(spec, a, a)
-        n >>= 1
-    return out
-
-
-# The four caches below hold one small entry per ring; a process sees a
+# The three caches below hold one small entry per ring; a process sees a
 # handful of rings, and the bound keeps a long-lived one from growing.
 
 @lru_cache(maxsize=16)
@@ -222,14 +213,6 @@ def _ref_g(spec: ChainRingSpec) -> _Ref:
     coeffs = [gr_from_int(spec.gr, c) for c in spec.g_int]
     coeffs += [gr_zero(spec.gr)] * (spec.kappa - len(coeffs))
     return _canonical(spec, coeffs)
-
-
-@lru_cache(maxsize=16)
-def _ref_div_u_factor(spec: ChainRingSpec) -> _Ref:
-    """-y^(kappa-1) g(y)^(-1), so that 2*c = u * (factor * c) for any c."""
-    order = spec.size() - spec.size(spec.e - 1)  # of the unit group
-    g_inv = _ref_pow(spec, _ref_g(spec), order - 1)
-    return _ref_neg(spec, _ref_mul(spec, _ref_y_pow(spec, spec.kappa - 1), g_inv))
 
 
 @lru_cache(maxsize=16)
@@ -248,26 +231,6 @@ def _ref_digit_terms(spec: ChainRingSpec) -> Tuple[Tuple[_Ref, ...], ...]:
         terms.append(tuple(_ref_mul(spec, u_pow, t) for t in _ref_teich(spec)))
         u_pow = _ref_mul(spec, u_pow, y)
     return tuple(terms)
-
-
-def _ref_div_u(spec: ChainRingSpec, a: _Ref) -> _Ref:
-    """One preimage of a (with a mod u = 0) under multiplication by u."""
-    # a = 2*beta0 + y*(rest) with beta0 = a_0/2, and 2 = u * (-y^(kappa-1) g^(-1))
-    beta0 = tuple(x >> 1 for x in a[0])
-    shifted = list(a[1:]) + [gr_zero(spec.gr)]
-    correction = _ref_mul(spec, _ref_from_gr(spec, beta0), _ref_div_u_factor(spec))
-    return _ref_add(spec, _canonical(spec, shifted), correction)
-
-
-def _ref_to_int(spec: ChainRingSpec, a: _Ref) -> int:
-    """Digit index of a reference element: peel off one digit at a time."""
-    teich = _ref_teich(spec)
-    out = 0
-    for i in range(spec.e):
-        d = residue(spec.gr, a[0])
-        out |= d << (spec.m * i)
-        a = _ref_div_u(spec, _ref_add(spec, a, _ref_neg(spec, teich[d])))
-    return out
 
 
 def _ref_from_int(spec: ChainRingSpec, a: int) -> _Ref:
@@ -346,39 +309,127 @@ def _pack_ref(spec: ChainRingSpec, a: _Ref) -> int:
     return out
 
 
-def _unpack_ref(spec: ChainRingSpec, c: int) -> _Ref:
-    flat = []
+def _digit_bits(spec: ChainRingSpec) -> List[List[int]]:
+    """bits[i][j]: the coordinate bit that holds bit j of digit i.
+
+    Digit i = k kappa + r sits at bit k of the m fields of coefficient r.
+    Since u^i = y^r (-2 g(y))^k, the term u^i T(d) has coefficient r equal
+    to 2^k T(d) times an odd constant, plus multiples of 2^(k+1), and its
+    coefficients below r are multiples of 2^(k+1); every later term of an
+    element of <u^i> adds multiples of 2^(k+1) to coefficient r.  So an
+    element of <u^i> has no lower bits in those fields, and its bit k there
+    is d_i (T(d) = d modulo 2); an element of <u^(i+1)> has none at all.
+    """
+    starts = [0]
     for width in _field_widths(spec):
-        flat.append(c & ((1 << width) - 1))
-        c >>= width
+        starts.append(starts[-1] + width)
+    m, kappa = spec.m, spec.kappa
+    return [[starts[m * (i % kappa) + j] + i // kappa for j in range(m)]
+            for i in range(spec.e)]
+
+
+# one entry per (ring, level) in use; bounded for long-lived processes
+@lru_cache(maxsize=64)
+def level_mask(spec: ChainRingSpec, level: int) -> int:
+    """The coordinate bits of the digits below level.
+
+    Keeping them reduces each field modulo a power of 2, an additive map
+    with q^level values whose kernel is <u^level> (see _digit_bits): so
+    coords(a) & mask is the same for all of a + <u^level>.  For m >= 2 it
+    need not be coords(truncate_elem(a, level)), but it decodes to an
+    element with the same digits below level.
+    """
+    return sum(1 << b for bits in _digit_bits(spec)[:level] for b in bits)
+
+
+def _readers(spec: ChainRingSpec) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """coords(a) and its inverse digits(c), computed per element.
+
+    coords(a) is the SWAR sum of the coordinates of the terms u^i T(d_i) of
+    a.  digits(c) reads digit i where _digit_bits puts it, adds the
+    coordinates of -u^i T(d_i), which leaves an element of <u^(i+1)>, and
+    moves on.
+    """
     m = spec.m
-    return tuple(tuple(flat[i : i + m]) for i in range(0, len(flat), m))
+    high = _coord_high(spec)
+    low = ((1 << (m * spec.e)) - 1) ^ high
+    qmask = spec.q - 1
+    terms = _ref_digit_terms(spec)
+    plus = [[_pack_ref(spec, x) for x in row] for row in terms]
+    minus = [[_pack_ref(spec, _ref_neg(spec, x)) for x in row] for row in terms]
+    steps = list(zip(range(0, m * spec.e, m), _digit_bits(spec), minus))
+
+    def coords(a: int) -> int:
+        acc = 0
+        for row in plus:
+            if not a:
+                break
+            c = row[a & qmask]
+            acc = ((acc & low) + (c & low)) ^ ((acc ^ c) & high)
+            a >>= m
+        return acc
+
+    def digits(c: int) -> int:
+        out = 0
+        for shift, bits, row in steps:
+            if not c:
+                break
+            d = 0
+            for j, b in enumerate(bits):
+                d |= ((c >> b) & 1) << j
+            if d:
+                out |= d << shift
+                x = row[d]
+                c = ((c & low) + (x & low)) ^ ((c ^ x) & high)
+        return out
+
+    return coords, digits
 
 
-def _times_zero(a: int) -> int:
-    return 0
+def _digit_scaler(spec: ChainRingSpec, d: int) -> Callable[[int], int]:
+    """times(a): T(d) a, each digit of a multiplied by d in the residue field."""
+    m, mask = spec.m, spec.q - 1
+    prods = [field_mul(spec.gr, d, x) for x in range(spec.q)]
+
+    def times(a: int) -> int:
+        out = shift = 0
+        while a:
+            out |= prods[a & mask] << shift
+            a >>= m
+            shift += m
+        return out
+
+    return times
 
 
-def _times_one(a: int) -> int:
-    return a
+class _OnDemand:
+    """Stands in for a table too large to store: self[x] computes entry(x)."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Callable[[int], int]):
+        self.entry = entry
+
+    def __getitem__(self, x: int) -> int:
+        return self.entry(x)
 
 
-# Rings with at most this many elements get the table kernel.  R8,2 is
-# exactly 2^16 and needs four tables of 2^16 two-byte entries (512 KB).
-# Above 2^16 an entry no longer fits two bytes: a ring of 2^18 elements with
-# q = 4 would need four tables of 2^18 four-byte entries, 4 MB, more than the
-# benchmark's peak_rss_mb bound allows (10% of runs of about 25 MB).
+# Rings with at most this many elements keep coords, digits and scale in
+# arrays, R8,2's four of 2^16 two-byte entries taking 512 KB; larger rings
+# compute each entry.  A ring of 2^18 elements with q = 4 would need 4 MB of
+# four-byte entries, over the benchmark's peak_rss_mb bound (10% of 25 MB).
 _TABLE_MAX = 1 << 16
 
 
-def _table_ops(spec: ChainRingSpec) -> Ops:
+# A process works with a handful of rings; the bound keeps a long-lived one
+# from holding a kernel for every ring it ever saw.
+@lru_cache(maxsize=8)
+def _kernel(spec: ChainRingSpec) -> Ops:
     """The kernel on packed additive coordinates (see _coord_high).
 
-    coords and digits are arrays over all elements.  Because Teichmuller
-    digits multiply, T(c) T(d) = T(cd), the product is
+    Because Teichmuller digits multiply, T(c) T(d) = T(cd), the product is
     a b = sum_j u^j T(b_j) a, and each term is carry-free: the digits of a
-    scaled by b_j in the residue field (the scale tables) and shifted up j
-    places.
+    scaled by b_j in the residue field (scale[b_j]) and shifted up j places.
     """
     m, e, q = spec.m, spec.e, spec.q
     high = _coord_high(spec)
@@ -387,26 +438,30 @@ def _table_ops(spec: ChainRingSpec) -> Ops:
     ones = ((high << 1) | 1) & full  # the lowest bit of every field
     qmask = q - 1
 
-    # coords[a] for a = d q^i + lo, lo < q^i: coords[lo] + coords of u^i T(d)
-    coords = array("H", [0])
-    for i, terms in enumerate(_ref_digit_terms(spec)):
-        block = coords[: q**i]
-        for d in range(1, q):
-            c = _pack_ref(spec, terms[d])
-            cl = c & low
-            coords.extend(((x & low) + cl) ^ ((x ^ c) & high) for x in block)
-    digits = array("H", bytes(2 * len(coords)))
-    for a, c in enumerate(coords):
-        digits[c] = a
-    scale: List[Optional[array]] = [None, None]  # digits 0 and 1 need no table
-    for d in range(2, q):
-        table = array("H", [0])
-        for i in range(e):
-            block = table[: q**i]
-            for d2 in range(1, q):
-                top = field_mul(spec.gr, d, d2) << (m * i)
-                table.extend(top | x for x in block)
-        scale.append(table)
+    if spec.size() > _TABLE_MAX:
+        coords, digits = map(_OnDemand, _readers(spec))
+        scale = [None, None] + [_OnDemand(_digit_scaler(spec, d)) for d in range(2, q)]
+    else:
+        # coords[a] for a = d q^i + lo, lo < q^i: coords[lo] + coords of u^i T(d)
+        coords = array("H", [0])
+        for i, terms in enumerate(_ref_digit_terms(spec)):
+            block = coords[: q**i]
+            for d in range(1, q):
+                c = _pack_ref(spec, terms[d])
+                cl = c & low
+                coords.extend(((x & low) + cl) ^ ((x ^ c) & high) for x in block)
+        digits = array("H", bytes(2 * len(coords)))
+        for a, c in enumerate(coords):
+            digits[c] = a
+        scale = [None, None]  # digits 0 and 1 need no table
+        for d in range(2, q):
+            table = array("H", [0])
+            for i in range(e):
+                block = table[: q**i]
+                for d2 in range(1, q):
+                    top = field_mul(spec.gr, d, d2) << (m * i)
+                    table.extend(top | x for x in block)
+            scale.append(table)
 
     def add(a: int, b: int) -> int:
         x, y = coords[a], coords[b]
@@ -435,73 +490,9 @@ def _table_ops(spec: ChainRingSpec) -> Ops:
                 shift += m
         return digits[acc]
 
-    scalers = (_times_zero, _times_one) + tuple(t.__getitem__ for t in scale[2:])
+    scalers = tuple(_digit_scaler(spec, d) for d in (0, 1))
+    scalers += tuple(t.__getitem__ for t in scale[2:])
     return Ops(add, neg, mul, dot, coords.__getitem__, digits.__getitem__, scalers)
-
-
-def _reference_ops(spec: ChainRingSpec) -> Ops:
-    """The kernel of rings too large for tables: the reference arithmetic.
-
-    A conversion between digit index and tuple costs about e ring products,
-    so both directions keep the elements they saw last, and so do coords
-    and digits, which pack the tuples on demand.  The digitwise scale needs
-    no tuples at all.
-    """
-
-    @lru_cache(maxsize=4096)
-    def elem(a: int) -> _Ref:
-        return _ref_from_int(spec, a)
-
-    @lru_cache(maxsize=4096)
-    def back(a: _Ref) -> int:
-        return _ref_to_int(spec, a)
-
-    def add(a: int, b: int) -> int:
-        return back(_ref_add(spec, elem(a), elem(b)))
-
-    def neg(a: int) -> int:
-        return back(_ref_neg(spec, elem(a)))
-
-    def mul(a: int, b: int) -> int:
-        return back(_ref_mul(spec, elem(a), elem(b)))
-
-    def dot(xs: Sequence[int], ys: Sequence[int]) -> int:
-        acc = _ref_zero(spec)
-        for a, b in zip(xs, ys):
-            acc = _ref_add(spec, acc, _ref_mul(spec, elem(a), elem(b)))
-        return back(acc)
-
-    @lru_cache(maxsize=4096)
-    def coords(a: int) -> int:
-        return _pack_ref(spec, elem(a))
-
-    @lru_cache(maxsize=4096)
-    def digits(c: int) -> int:
-        return back(_unpack_ref(spec, c))
-
-    def scaler(d: int) -> Callable[[int], int]:
-        m, mask = spec.m, spec.q - 1
-        prods = [field_mul(spec.gr, d, x) for x in range(spec.q)]
-
-        def times(a: int) -> int:
-            out = shift = 0
-            while a:
-                out |= prods[a & mask] << shift
-                a >>= m
-                shift += m
-            return out
-
-        return times
-
-    scalers = (_times_zero, _times_one) + tuple(scaler(d) for d in range(2, spec.q))
-    return Ops(add, neg, mul, dot, coords, digits, scalers)
-
-
-# A process works with a handful of rings; the bound keeps a long-lived one
-# from holding a kernel for every ring it ever saw.
-@lru_cache(maxsize=8)
-def _kernel(spec: ChainRingSpec) -> Ops:
-    return _table_ops(spec) if spec.size() <= _TABLE_MAX else _reference_ops(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +504,15 @@ def cr_zero(spec: ChainRingSpec) -> CRElem:
     return 0
 
 
-# The digit index of a constant costs about e reference products, and
-# make_ring reads that of 2 for every spec it builds (the CLI builds one per
-# query); a few constants per ring are ever asked for.
+# The digit index of a constant costs about e q reference products (the
+# terms _readers adds and subtracts), and make_ring reads that of 2 for every
+# spec it builds (the CLI builds one per query); a few constants per ring
+# are ever asked for.
 @lru_cache(maxsize=256)
 def cr_from_int(spec: ChainRingSpec, c: int) -> CRElem:
     """The image of an integer constant."""
-    return _ref_to_int(spec, _ref_from_gr(spec, gr_from_int(spec.gr, c)))
+    digits = _readers(spec)[1]
+    return digits(_pack_ref(spec, _ref_from_gr(spec, gr_from_int(spec.gr, c))))
 
 
 def cr_add(spec: ChainRingSpec, a: CRElem, b: CRElem) -> CRElem:

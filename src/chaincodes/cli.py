@@ -501,7 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lift",
-        parents=[fmt_args()],
         help="construct a self-orthogonal code from a JSON chain description",
     )
     p.add_argument(

@@ -439,7 +439,10 @@ def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCod
 
     lambdas is the full depth-e type; its head must match the chain's
     dimension increments.  Raises if the chain is invalid, the type is
-    inconsistent, or the pipeline dead-ends (obstructed crossing).
+    inconsistent, or no code of the type lifts the chain.  A valid chain
+    never meets the crossing obstruction (stage_obstruction): an all-one
+    word that deep lies in the doubly even member, so n = 0 (mod 4), and
+    validate_chain refuses n = 4 (mod 8) over a field of odd degree.
     """
     spec = chain.ring
     problems = validate_chain(chain)
@@ -473,8 +476,7 @@ def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCod
 
     result = descend(None, 0)
     if result is None:
-        reason = stage_obstruction(spec, chain.n, chain.contains_one)
-        raise ValueError(reason or "no code of this type lifts the chain")
+        raise ValueError("no code of this type lifts the chain")
     return result
 
 

@@ -33,6 +33,7 @@ from .chain import (
     cr_zero,
     from_u_adic,
     lane_masks,
+    level_mask,
     pi0,
     truncate_elem,
     u_valuation,
@@ -440,7 +441,8 @@ def code_signature(code: RingCode) -> frozenset:
     set is the sumset of the q-element sets {u^j T(d) w : d in F_q}: a
     digitwise field scale (spec.ops.scale) and a digit shift per entry, no
     ring product.  Below full depth the sums carry into digits at and above
-    the level, so each word is decoded, truncated and packed again.
+    the level, so each lane keeps only the coordinate bits of the digits
+    below the level (chain.level_mask), one representative per coset.
     """
     spec, level, n = code.ring, code.level, code.n
     ops = spec.ops
@@ -467,23 +469,19 @@ def code_signature(code: RingCode) -> frozenset:
                 ((x & low) + (g & low)) ^ ((x ^ g) & high) for x in words for g in gens
             } | words
     if level < spec.e:
-        keep = truncate_elem(spec, -1, level)
-        words = {pack([x & keep for x in _unpack(spec, n, wd)]) for wd in words}
+        keep = sum(level_mask(spec, level) << (width * i) for i in range(n))
+        words = {wd & keep for wd in words}
     return frozenset(words)
-
-
-def _unpack(spec: ChainRingSpec, n: int, word: int) -> RVec:
-    """The entries of a packed codeword, as digit indices."""
-    digits, width = spec.ops.digits, spec.m * spec.e
-    lane = (1 << width) - 1
-    return tuple(digits((word >> (width * i)) & lane) for i in range(n))
 
 
 def enumerate_codewords(code: RingCode) -> Iterator[RVec]:
     """All codewords, as vectors over the level-l quotient: code_signature
-    decoded."""
+    decoded, each entry truncated to the level."""
+    spec, n = code.ring, code.n
+    digits, width = spec.ops.digits, spec.m * spec.e
+    lane, keep = (1 << width) - 1, truncate_elem(spec, -1, code.level)
     for word in code_signature(code):
-        yield _unpack(code.ring, code.n, word)
+        yield tuple(digits((word >> (width * i)) & lane) & keep for i in range(n))
 
 
 def torsion_code(code: RingCode, i: int) -> FieldCode:

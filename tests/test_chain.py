@@ -18,6 +18,7 @@ from chaincodes.chain import (
     format_ring_spec,
     from_u_adic,
     lane_masks,
+    level_mask,
     make_ring,
     parse_ring_spec,
     pi0,
@@ -28,12 +29,14 @@ from chaincodes.chain import (
 )
 from chaincodes.chain import (  # the private reference arithmetic
     _TABLE_MAX,
+    _pack_ref,
     _ref_add,
+    _ref_from_gr,
     _ref_from_int,
     _ref_mul,
     _ref_neg,
-    _ref_to_int,
 )
+from chaincodes.galois import field_mul, gr_from_int
 
 # the ring with residue field of size 8 that closed_form counts on: |R| = 2^24
 M3_RING = dict(s=3, m=3, kappa=3, t=2, modulus=(1, 1, 0, 1))
@@ -177,8 +180,6 @@ def test_units_and_inverses():
 def test_teichmuller_digits_multiply():
     # T(c) T(d) = T(cd): the kernel's carry-free digit products rely on it
     spec = preset("R8,2")
-    from chaincodes.galois import field_mul
-
     for c in range(spec.q):
         tc = from_u_adic(spec, (c,))
         assert pi0(spec, tc) == c
@@ -249,24 +250,39 @@ def test_kernel_matches_reference_on_every_pair(label):
     size = spec.size()
     assert size <= 256
     refs = [_ref_from_int(spec, a) for a in range(size)]
-    assert [_ref_to_int(spec, r) for r in refs] == list(range(size))
+    assert len(set(refs)) == size
     ops = spec.ops
     for a in range(size):
+        assert ops.coords(a) == _pack_ref(spec, refs[a])
         assert refs[ops.neg(a)] == _ref_neg(spec, refs[a])
         for b in range(size):
             assert refs[ops.add(a, b)] == _ref_add(spec, refs[a], refs[b])
             assert refs[ops.mul(a, b)] == _ref_mul(spec, refs[a], refs[b])
+    # the coordinate mask of a level: one representative per coset of <u^level>
+    for level in range(spec.e + 1):
+        mask = level_mask(spec, level)
+        assert bin(mask).count("1") == spec.m * level
+        for a in range(size):
+            cut = truncate_elem(spec, a, level)
+            assert ops.coords(a) & mask == ops.coords(cut) & mask
+            assert truncate_elem(spec, ops.digits(ops.coords(a) & mask), level) == cut
 
 
-@pytest.mark.parametrize("label, samples", [("R6,2", 300), ("R8,2", 300), ("m=3", 25)])
+# R6,2 and R8,2 keep tables; the m=3 ring (2^24 elements) and CR(2^3,2;3,3;1)
+# (2^18 elements, q = 4) compute each look-up
+@pytest.mark.parametrize(
+    "label, samples", [("R6,2", 300), ("R8,2", 300), ("m=3", 25), ("CR(2^3,2;3,3;1)", 100)]
+)
 def test_kernel_matches_reference_on_samples(label, samples):
-    spec = make_ring(**M3_RING) if label == "m=3" else preset(label)
-    assert (spec.size() > _TABLE_MAX) == (label == "m=3")  # the m=3 ring has no tables
+    spec = make_ring(**M3_RING) if label == "m=3" else _ring(label)
+    assert (spec.size() > _TABLE_MAX) == (label in ("m=3", "CR(2^3,2;3,3;1)"))
     rng = random.Random(2024)
     size = spec.size()
     if size <= _TABLE_MAX:  # digit index -> coordinates -> digit index is the identity
         assert all(spec.ops.add(a, 0) == a for a in range(size))
-    from chaincodes.galois import field_mul
+    for c in range(-8, 17):
+        want = _ref_from_gr(spec, gr_from_int(spec.gr, c))
+        assert _ref_from_int(spec, cr_from_int(spec, c)) == want
 
     for c in range(spec.q):
         for d in range(spec.q):
@@ -274,15 +290,15 @@ def test_kernel_matches_reference_on_samples(label, samples):
             assert lhs == from_u_adic(spec, (field_mul(spec.gr, c, d),))
 
     def ref(op, *args):
-        return _ref_to_int(spec, op(spec, *(_ref_from_int(spec, x) for x in args)))
+        return op(spec, *(_ref_from_int(spec, x) for x in args))
 
     width = spec.m * spec.e  # bits of one element's packed coordinates
 
     for _ in range(samples):
         a, b, c = (rng.randrange(size) for _ in range(3))
-        assert cr_add(spec, a, b) == ref(_ref_add, a, b)
-        assert cr_mul(spec, a, b) == ref(_ref_mul, a, b)
-        assert cr_neg(spec, a) == ref(_ref_neg, a)
+        assert _ref_from_int(spec, cr_add(spec, a, b)) == ref(_ref_add, a, b)
+        assert _ref_from_int(spec, cr_mul(spec, a, b)) == ref(_ref_mul, a, b)
+        assert _ref_from_int(spec, cr_neg(spec, a)) == ref(_ref_neg, a)
         assert cr_mul(spec, a, cr_add(spec, b, c)) == cr_add(
             spec, cr_mul(spec, a, b), cr_mul(spec, a, c)
         )
@@ -296,6 +312,7 @@ def test_kernel_matches_reference_on_samples(label, samples):
         assert spec.ops.dot(xs, ys) == want
         # packed coordinates: round trip, lane-wise add, digitwise scale
         ops = spec.ops
+        assert ops.coords(a) == _pack_ref(spec, _ref_from_int(spec, a))
         assert ops.digits(ops.coords(a)) == a
         low, high = lane_masks(spec, 3)
         packed = [sum(ops.coords(x) << (width * i) for i, x in enumerate(v)) for v in (xs, ys)]
@@ -304,6 +321,10 @@ def test_kernel_matches_reference_on_samples(label, samples):
         assert lanes == [ops.add(x, y) for x, y in zip(xs, ys)]
         d = rng.randrange(spec.q)
         assert ops.scale[d](a) == cr_mul(spec, d, a)
+        level = rng.randrange(spec.e + 1)
+        mask, cut = level_mask(spec, level), truncate_elem(spec, a, level)
+        assert ops.coords(a) & mask == ops.coords(cut) & mask
+        assert truncate_elem(spec, ops.digits(ops.coords(a) & mask), level) == cut
 
 
 def test_ring_construction_builds_no_kernel():

@@ -199,6 +199,16 @@ def test_lift_rejects_entries_outside_the_residue_field(capsys, tmp_path, entry)
     assert "Traceback" not in err
 
 
+def test_lift_takes_no_format(capsys, tmp_path):
+    # lift prints JSON only, so --format csv is refused rather than ignored
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_0111))
+    rc, out, err = run(capsys, "lift", "--chain", str(path), "--format", "csv")
+    assert rc == 2
+    assert out == ""
+    assert "--format" in err
+
+
 def test_lift_malformed_member_row_exits_two(capsys, tmp_path):
     doc_in = dict(CHAIN_0111, members=[[], [6]])
     path = tmp_path / "mask.json"

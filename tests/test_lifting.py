@@ -206,6 +206,25 @@ def test_obstructed_crossing_over_odd_degree_field():
     assert stage_obstruction(r81, 4, ok_chain.contains_one) is None
 
 
+def test_valid_chains_are_never_obstructed():
+    # a valid chain holding the all-one word in member ceil(e/2) - kappa holds
+    # it in the doubly even member, so n = 0 (mod 4), and validate_chain has
+    # already refused n = 4 (mod 8) over a field of odd degree
+    valid = {}
+    for spec in (make_ring(3, 1, 3, 2), make_ring(3, 2, 3, 2), make_ring(3, 1, 3, 1)):
+        want = expected_chain_length(spec)
+        chains = [
+            chain
+            for head in all_types(want, 2)  # a self-orthogonal code has dim <= n/2
+            for chain in enumerate_so_chains(spec, 4, head)
+            if not validate_chain(chain)
+        ]
+        assert all(stage_obstruction(spec, 4, c.contains_one) is None for c in chains)
+        one_at = (spec.e + 1) // 2 - spec.kappa
+        valid[spec.gr.m, spec.t] = (len(chains), sum(c.contains_one(one_at) for c in chains))
+    assert valid == {(1, 2): (19, 0), (2, 2): (129, 12), (1, 1): (37, 0)}
+
+
 def test_flat_zone_base_jets_multiply_through():
     # R4,1 n=4 type {1,0,1,0}: base jets at level 2 split modules that a
     # level-2 reduction could merge, and each jet carries 32 lifts; the

@@ -10,6 +10,7 @@ from chaincodes.chain import (
     cr_add,
     cr_mul,
     from_u_adic,
+    level_mask,
     make_ring,
     parse_ring_spec,
     preset,
@@ -105,14 +106,16 @@ SIGNATURE_RINGS = PRESET_NAMES + ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,
 def test_signature_decodes_to_the_reference_codewords(label):
     # random codes whose rows start at random depths, at full depth and at
     # every lower level truncate_code reaches; the m=3 ring (2^24 elements)
-    # runs on the reference kernel
-    if label == "m=3":  # a reference product or conversion costs about 0.3 ms
-        spec, n, most = make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)), 2, 512
+    # computes its kernel look-ups instead of reading tables
+    if label == "m=3":
+        spec, n = make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)), 2
     else:
         spec = preset(label) if label in PRESET_NAMES else parse_ring_spec(label)
-        n, most = (3 if spec.q == 2 else 2), 4096
+        n = 3 if spec.q == 2 else 2
+    most = 4096
     rng = random.Random(label)
     full = truncate_elem(spec, -1, spec.e)
+    width = spec.m * spec.e
     checked = 0
     for _ in range(25):
         rows = []
@@ -128,6 +131,12 @@ def test_signature_decodes_to_the_reference_codewords(label):
             assert len(want) == trunc.size()
             assert len(code_signature(trunc)) == len(want)
             assert set(enumerate_codewords(trunc)) == want
+            # one word per codeword, whatever the generators: its masked coordinates
+            mask = level_mask(spec, level)
+            assert code_signature(trunc) == {
+                sum((spec.ops.coords(x) & mask) << (width * i) for i, x in enumerate(v))
+                for v in want
+            }
             checked += 1
     assert checked >= 25
 
