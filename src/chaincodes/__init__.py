@@ -4,7 +4,8 @@ The package is organised bottom-up:
 
 - galois: Galois rings GR(2^s, m), their residue fields, Teichmueller lifts
 - chain: chain rings built on top of a Galois ring, u-adic digit expansions
-- fieldcodes: linear codes over the residue field (RREF, duals, subspaces)
+- fieldcodes: linear codes over the residue field (RREF, double evenness,
+  the subspace walks)
 - ringcodes: codes over the chain ring in standard form, torsion codes,
   truncation, duality, and the deep orthogonality test
 - lifting: nested residue-field chains and the stage-by-stage construction

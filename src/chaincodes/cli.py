@@ -394,7 +394,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     if args.type:
         targets = [_parse_type(args.type, spec.e)]
     else:
-        targets = list(_all_types(spec, args.n))
+        targets = list(_all_types(spec.e, args.n))
         if args.sample is not None:
             rng = random.Random(args.seed)
             targets = rng.sample(targets, min(args.sample, len(targets)))

@@ -79,6 +79,11 @@ def sigma(n: int, d: int, m: int, with_one: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"code length must be nonnegative, got {n}")
+
+
 def _check_type(spec: ChainRingSpec, lambdas: Sequence[int]) -> None:
     if len(lambdas) != spec.e:
         raise ValueError("type tuple must have one entry per depth")
@@ -369,6 +374,7 @@ def _sd_count(spec: ChainRingSpec, n: int, cum: Callable[[int], int], bt: int) -
 
 def count_so_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     """Number of self-orthogonal codes of the given type and length."""
+    _check_length(n)
     _check_type(spec, lambdas)
     cum = _cum(lambdas)
     if not _feasible(spec.e, n, cum):
@@ -379,6 +385,7 @@ def count_so_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
 
 def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     """Number of self-dual codes of the given type and length."""
+    _check_length(n)
     _check_type(spec, lambdas)
     e = spec.e
     cum = _cum(lambdas)
@@ -387,9 +394,8 @@ def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     return _sd_count(spec, n, cum, _b_theta(spec, n, lambdas, cum))
 
 
-def _all_types(spec: ChainRingSpec, n: int) -> Iterator[Tuple[int, ...]]:
-    """Every type with at most n pivots, in lexicographic order."""
-    e = spec.e
+def _all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:
+    """Every type of depth e with at most n pivots, in lexicographic order."""
     lam = [0] * e
 
     def grow(i: int, left: int) -> Iterator[Tuple[int, ...]]:
@@ -412,6 +418,7 @@ def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
     in as each position is chosen and summed over the completions.  A head
     has at most one self-dual completion: its palindrome.
     """
+    _check_length(n)
     e, s, q = spec.e, spec.e // 2, spec.q
     h = e - s
     lam = [0] * e

@@ -3,6 +3,9 @@
 Vectors are tuples of field elements (bitmasks). The bilinear form is the
 residue of the chain-ring inner product of Teichmuller lifts, which works out
 to the plain coordinatewise dot product over F_{2^m}.
+
+enumerate_subspaces lists subspaces by RREF; placed_subspaces places those of
+a column set in F_{2^m}^n, which grows chain members and lift bottom blocks.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .galois import GRSpec, field_inv, field_mul, make_galois_ring
 
@@ -188,11 +191,22 @@ def enumerate_subspaces(gr: GRSpec, n: int, d: int) -> Iterator[FieldCode]:
             yield FieldCode(gr=gr, n=n, rows=tuple(tuple(r) for r in rows), pivots=tuple(pivots))
 
 
-def enumerate_extensions(code: FieldCode, d: int) -> Iterator[FieldCode]:
-    """All d-dimensional subspaces containing the given code."""
-    for cand in enumerate_subspaces(code.gr, code.n, d):
-        if is_subcode(code, cand):
-            yield cand
+def placed_subspaces(
+    gr: GRSpec, n: int, cols: Sequence[int], d: int
+) -> Iterator[Tuple[Tuple[FVec, ...], Tuple[int, ...]]]:
+    """Every d-dimensional subspace of the coordinates cols, placed in F_{2^m}^n.
+
+    Yields (canonical basis, pivot columns) per subspace, in the order of
+    enumerate_subspaces over len(cols) coordinates.  The codes D >= C with
+    dim D = dim C + d are exactly C + W for W placed at the non-pivot
+    columns of C, one W each.
+    """
+    where = {c: i for i, c in enumerate(cols)}
+    # a module global looked up at call time, so a rebinding of it (the
+    # benchmark's tracer wraps it) sees every walk
+    for sub in enumerate_subspaces(gr, len(cols), d):
+        rows = tuple(tuple(r[where[c]] if c in where else 0 for c in range(n)) for r in sub.rows)
+        yield rows, tuple(cols[p] for p in sub.pivots)
 
 
 # one small spec per field degree; few degrees occur in one process

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 GRElem = Tuple[int, ...]  # coefficients of 1, x, ..., x^(m-1), each mod 2^s
@@ -35,7 +36,7 @@ class GRSpec:
     def size(self) -> int:
         return 1 << (self.s * self.m)
 
-    @property
+    @cached_property
     def field_modulus(self) -> int:
         """Residue of the modulus as an F_2[x] bitmask (bit i = coeff of x^i)."""
         return sum((c & 1) << i for i, c in enumerate(self.modulus))
@@ -75,10 +76,10 @@ def make_galois_ring(s: int, m: int, modulus: Optional[Tuple[int, ...]] = None) 
         raise ValueError(f"modulus must have degree {m}, got {len(modulus) - 1}")
     if modulus[-1] != 1:
         raise ValueError("modulus must be monic")
-    fbar = sum((c & 1) << i for i, c in enumerate(modulus))
-    if m >= 2 and not _poly2_is_irreducible(fbar, m):
+    spec = GRSpec(s=s, m=m, modulus=modulus)
+    if m >= 2 and not _poly2_is_irreducible(spec.field_modulus, m):
         raise ValueError("modulus residue must be irreducible over F_2")
-    return GRSpec(s=s, m=m, modulus=modulus)
+    return spec
 
 
 # ---------------------------------------------------------------------------

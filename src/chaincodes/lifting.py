@@ -8,8 +8,10 @@ digits on a restricted column support, and one new bottom block of rows is
 adjoined.  Rows are tested as they are written, for self-orthogonality
 plus the deeper diagonal conditions, from a plan cached per pivot
 structure; the torsion tower is aligned with the chain by construction.
-Closed-form stage counts live alongside the search so the two can be
-compared case by case.
+The bottom block and each step of the chain come from one placement,
+fieldcodes.placed_subspaces: a subspace of the columns the earlier rows
+leave free.  Closed-form stage counts live alongside the search so the two
+can be compared case by case.
 """
 
 from __future__ import annotations
@@ -18,21 +20,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from . import fieldcodes
 from .chain import ChainRingSpec
 from .enumeration import _break_crossable, _cum, gaussian_binomial
 from .fieldcodes import (
     FieldCode,
     contains_all_one,
-    enumerate_extensions,
     is_doubly_even,
     is_self_orthogonal_field,
     is_subcode,
+    make_field_code,
+    vec_dot,
     zero_code,
 )
 from .ringcodes import (
     RingCode,
     Slot,
-    bottom_blocks,
     fill_candidates,
     fill_plan,
     is_self_orthogonal_ring,
@@ -356,8 +359,8 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
     enumerated here and never deduplicated.  The new bottom block runs
     over canonical bases of subspaces of the free columns.
 
-    Returns (stage tag, profile, [(bottom rows, pivots per block, fill
-    plan with the orthogonality test)] per bottom block).
+    Returns (stage tag, [(bottom rows, pivots per block, fill plan with
+    the orthogonality test)] per bottom block).
     """
     bot = gamma + level
     if len(carried) != bot - 1:
@@ -367,7 +370,7 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
     free_cols = [c for c in range(n) if c not in taken]
     profile = tuple(len(p) for p in existing_pivots) + (new_count,)
     out = []
-    for bottom_rows, bottom_piv in bottom_blocks(spec, n, free_cols, new_count):
+    for bottom_rows, bottom_piv in fieldcodes.placed_subspaces(spec.gr, n, free_cols, new_count):
         pivots_by_block = existing_pivots + [bottom_piv]
         free_rem = [c for c in free_cols if c not in bottom_piv]
         slots: List[Slot] = []
@@ -383,7 +386,7 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
                         slots.append((h, r, c, mu))
         plan = fill_plan(spec, level, n, profile, slots, test=True)
         out.append((bottom_rows, tuple(pivots_by_block), plan))
-    return dict(stage_plan(spec))[level], profile, tuple(out)
+    return dict(stage_plan(spec))[level], tuple(out)
 
 
 def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
@@ -400,9 +403,9 @@ def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
     mat = chain_matrix(chain)
     templates = [rows for rows, _ in mat]
     carried = tuple((piv, 1) for _, piv in mat)
-    _, profile, bottoms = _lift_plan(spec, chain.n, level, spec.e // 2 - 1, carried, new_count)
+    _, bottoms = _lift_plan(spec, chain.n, level, spec.e // 2 - 1, carried, new_count)
     for rows, pivots, plan in bottoms:
-        yield from fill_candidates(spec, level, chain.n, profile, pivots, templates, plan, rows)
+        yield from fill_candidates(plan, pivots, templates, rows)
 
 
 def lift_once(prev: RingCode, chain: SOChain, new_count: int) -> Iterator[RingCode]:
@@ -424,14 +427,12 @@ def lift_once(prev: RingCode, chain: SOChain, new_count: int) -> Iterator[RingCo
         (prev.pivots[h - 1], prev.precision(h))
         for h in range(1, len(prev.profile) + 1)
     )
-    tag, profile, bottoms = _lift_plan(spec, prev.n, level, gamma, carried, new_count)
+    tag, bottoms = _lift_plan(spec, prev.n, level, gamma, carried, new_count)
     if tag == STAGE_BREAK_CROSSING:
         if stage_obstruction(spec, prev.n, chain.contains_one) is not None:
             return
     for rows, pivots, plan in bottoms:
-        yield from fill_candidates(
-            spec, level, prev.n, profile, pivots, prev.block_rows, plan, rows
-        )
+        yield from fill_candidates(plan, pivots, prev.block_rows, rows)
 
 
 def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCode:
@@ -499,23 +500,23 @@ def enumerate_so_chains(
 
     Yields every chain whose i-th member has dimension lambda_1+...+lambda_i;
     validity beyond nesting and self-orthogonality (doubly even member,
-    all-one conditions) is NOT filtered here - callers decide.
+    all-one conditions) is NOT filtered here - callers decide.  Member i
+    is member i-1 plus a subspace of its non-pivot columns whose rows are
+    orthogonal to each other and to the member's rows.
     """
     want = expected_chain_length(spec)
     if len(lambdas_head) != want:
         raise ValueError("need one dimension step per chain member")
+    gr = spec.gr
 
     def grow(prefix: List[FieldCode], idx: int) -> Iterator[SOChain]:
         if idx == want:
             yield SOChain(ring=spec, n=n, codes=tuple(prefix))
             return
-        prev = prefix[-1] if prefix else zero_code(spec.gr, n)
-        target = prev.dim + lambdas_head[idx]
-        if target == prev.dim:
-            yield from grow(prefix + [prev], idx + 1)
-            return
-        for ext in enumerate_extensions(prev, target):
-            if is_self_orthogonal_field(ext):
-                yield from grow(prefix + [ext], idx + 1)
+        prev = prefix[-1] if prefix else zero_code(gr, n)
+        free = [c for c in range(n) if c not in prev.pivots]
+        for rows, _ in fieldcodes.placed_subspaces(gr, n, free, lambdas_head[idx]):
+            if not any(vec_dot(gr, a, b) for i, a in enumerate(rows) for b in rows[i:] + prev.rows):
+                yield from grow(prefix + [make_field_code(gr, n, prev.rows + rows)], idx + 1)
 
     yield from grow([], 0)

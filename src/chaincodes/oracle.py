@@ -17,8 +17,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from . import fieldcodes
 from .chain import ChainRingSpec
-from .enumeration import count_so_type
+from .enumeration import _check_length, count_so_type
 from .fieldcodes import (
     bilinear_form,
     codewords,
@@ -30,7 +31,6 @@ from .galois import make_galois_ring
 from .ringcodes import (
     RingCode,
     Slot,
-    bottom_blocks,
     code_signature,
     fill_candidates,
     fill_plan,
@@ -109,27 +109,6 @@ def _check_budget(
 # ---------------------------------------------------------------------------
 
 
-def _digit_slots(
-    profile: Sequence[int], level: int, n: int
-) -> Tuple[int, int]:
-    """(number of free digit positions, pivot placement count)."""
-    gamma = len(profile) - level
-    free_cols = n - sum(profile)
-    slots = 0
-    for h, rows in enumerate(profile, start=1):
-        prec = level - max(0, h - gamma - 1)
-        per_row = free_cols * prec
-        for h2 in range(h + 1, len(profile) + 1):
-            per_row += profile[h2 - 1] * min(prec, h2 - h)
-        slots += rows * per_row
-    placements = 1
-    remaining = n
-    for rows in profile:
-        placements *= math.comb(remaining, rows)
-        remaining -= rows
-    return slots, placements
-
-
 def _pivot_placements(
     profile: Sequence[int], n: int
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
@@ -146,31 +125,50 @@ def _pivot_placements(
     yield from grow(0, tuple(range(n)), [])
 
 
+def _type_slots(
+    n: int, profile: Sequence[int], level: int, pivots: Tuple[Tuple[int, ...], ...]
+) -> List[Slot]:
+    """The slots of one pivot placement: every digit of a row's precision
+    at the free columns, and below the scale gap at the pivots of later
+    blocks.  Every placement of a profile leaves the same number."""
+    gamma = len(profile) - level
+    taken = {c for piv in pivots for c in piv}
+    free = [c for c in range(n) if c not in taken]
+    slots: List[Slot] = []
+    for h, rows in enumerate(profile, start=1):
+        if not rows:
+            continue
+        prec = level - max(0, h - gamma - 1)
+        writes = [(c, mu) for c in free for mu in range(prec)] + [
+            (c, mu) for h2 in range(h + 1, len(profile) + 1)
+            for c in pivots[h2 - 1] for mu in range(min(prec, h2 - h))
+        ]
+        slots += [(h, r, c, mu) for r in range(rows) for c, mu in writes]
+    return slots
+
+
+def _walk_size(spec: ChainRingSpec, n: int, profile: Sequence[int], level: int) -> int:
+    """The number of matrices _matrix_candidates writes: pivot placements
+    times q to the slots of one placement, any one."""
+    placements, left = 1, n
+    for rows in profile:
+        placements *= math.comb(left, rows)
+        left -= rows
+    cols = iter(range(n))
+    some = tuple(tuple(itertools.islice(cols, rows)) for rows in profile)
+    return placements * spec.q ** len(_type_slots(n, profile, level, some))
+
+
 def _matrix_candidates(
     spec: ChainRingSpec, n: int, profile: Sequence[int], level: int
 ) -> Iterator[RingCode]:
     """Every standard-form-shaped matrix of the given type, one code each
     up to duplicate pivot placements (callers dedup by codeword set)."""
-    gamma = len(profile) - level
-    nblocks = len(profile)
     for pivots in _pivot_placements(profile, n):
-        taken = {c for piv in pivots for c in piv}
-        free_cols = [c for c in range(n) if c not in taken]
-        slots: List[Slot] = []
-        for h in range(1, nblocks + 1):
-            prec = level - max(0, h - gamma - 1)
-            for r in range(profile[h - 1]):
-                for c in free_cols:
-                    for mu in range(prec):
-                        slots.append((h, r, c, mu))
-                for h2 in range(h + 1, nblocks + 1):
-                    for c in pivots[h2 - 1]:
-                        for mu in range(min(prec, h2 - h)):
-                            slots.append((h, r, c, mu))
         # every entry zero except a 1 at each row's pivot
         base = [[[int(c == p) for c in range(n)] for p in piv] for piv in pivots]
-        plan = fill_plan(spec, level, n, profile, slots)
-        yield from fill_candidates(spec, level, n, profile, pivots, base, plan)
+        plan = fill_plan(spec, level, n, profile, _type_slots(n, profile, level, pivots))
+        yield from fill_candidates(plan, pivots, base)
 
 
 def enumerate_codes_of_type(
@@ -187,14 +185,14 @@ def enumerate_codes_of_type(
     cheap filters keep the walk cheap.  Raises BudgetError when the raw
     candidate count exceeds the budget.
     """
+    _check_length(n)
     level = spec.e if level is None else level
     gamma = len(profile) - level
     if gamma < 0:
         raise ValueError("profile is shorter than the level")
     if sum(profile) > n:
         return
-    slots, placements = _digit_slots(profile, level, n)
-    _check_budget(spec, n, placements * spec.q**slots, budget)
+    _check_budget(spec, n, _walk_size(spec, n, profile, level), budget)
     seen = set()
     for cand in _matrix_candidates(spec, n, profile, level):
         if predicate is not None and not predicate(cand):
@@ -277,16 +275,14 @@ def brute_force_lift_count(
     free_cols = [c for c in range(n) if c not in taken]
     if new_count > len(free_cols):
         return 0
-    bottoms = bottom_blocks(spec, n, free_cols, new_count)
+    bottoms = list(fieldcodes.placed_subspaces(spec.gr, n, free_cols, new_count))
     _check_budget(spec, n, len(bottoms) * spec.q ** len(slots), budget)
     prev_sig = code_signature(prev)
     plan = fill_plan(spec, level, n, profile, slots)
     seen = set()
     for bottom_rows, bottom_piv in bottoms:
         pivots = prev.pivots + (bottom_piv,)
-        for cand in fill_candidates(
-            spec, level, n, profile, pivots, prev.block_rows, plan, bottom_rows
-        ):
+        for cand in fill_candidates(plan, pivots, prev.block_rows, bottom_rows):
             if not is_self_orthogonal_ring(cand):
                 continue
             if not satisfies_deep_orthogonality(cand):

@@ -38,7 +38,6 @@ from .chain import (
     truncate_elem,
     u_valuation,
 )
-from . import fieldcodes
 from .fieldcodes import FieldCode, make_field_code, zero_code
 
 RVec = Tuple[CRElem, ...]
@@ -138,15 +137,19 @@ Slot = Tuple[int, int, int, int]
 
 
 class FillPlan(NamedTuple):
-    """rows: (h, r, (column, bit shift) per slot, keep-mask per column
-    clearing the slot digits) per written row, in slot order.  test: None
-    or (pairs, masks), pairs = (h1, r1, h2, r2, mask) over the unwritten
-    rows and masks[k] = (self mask, (h, r, mask) per unwritten row, (j,
-    mask) per earlier written row j) for written row k.  A dot product
-    passes a mask when it has no digit under it.
+    """The shape of the codes written (spec, level, n, profile).  rows: (h,
+    r, (column, bit shift) per slot) per written row, in slot order.  test:
+    None or (pairs, masks), pairs = (h1, r1, h2, r2, mask) over the
+    unwritten rows and masks[k] = (self mask, (h, r, mask) per unwritten
+    row, (j, mask) per earlier written row j) for written row k.  A dot
+    product passes a mask when it has no digit under it.
     """
 
-    rows: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...], Tuple[int, ...]], ...]
+    spec: ChainRingSpec
+    level: int
+    n: int
+    profile: Tuple[int, ...]
+    rows: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]
     test: Optional[tuple]
 
 
@@ -161,17 +164,17 @@ def fill_plan(
     scales u^pa, u^pb need level - pa - pb zero digits in their dot
     product, and a top-block row the deep_masks of its block.
     """
-    rows: List[Tuple[int, int, list, list]] = []
+    rows: List[Tuple[int, int, list]] = []
+    profile = tuple(profile)
     for h, r, c, mu in slots:
         if not rows or rows[-1][:2] != (h, r):
             if any(row[:2] == (h, r) for row in rows):
                 raise ValueError("the slots of one row must be contiguous")
-            rows.append((h, r, [], [-1] * n))
+            rows.append((h, r, []))
         rows[-1][2].append((c, spec.m * mu))
-        rows[-1][3][c] &= ~((spec.q - 1) << (spec.m * mu))
-    plan_rows = tuple((h, r, tuple(w), tuple(keep)) for h, r, w, keep in rows)
+    plan = FillPlan(spec, level, n, profile, tuple((h, r, tuple(w)) for h, r, w in rows), None)
     if not test:
-        return FillPlan(plan_rows, None)
+        return plan
     gamma = len(profile) - level
     deep = deep_masks(spec, level, gamma)
 
@@ -192,7 +195,7 @@ def fill_plan(
         )
         for k, a in enumerate(written)
     ]
-    return FillPlan(plan_rows, (tuple(p for p in pairs if p[4]), tuple(masks)))
+    return plan._replace(test=(tuple(p for p in pairs if p[4]), tuple(masks)))
 
 
 def _row_variants(base: RVec, writes: Sequence[Tuple[int, int]], q: int) -> Iterator[RVec]:
@@ -205,32 +208,30 @@ def _row_variants(base: RVec, writes: Sequence[Tuple[int, int]], q: int) -> Iter
 
 
 def fill_candidates(
-    spec: ChainRingSpec,
-    level: int,
-    n: int,
-    profile: Sequence[int],
+    plan: FillPlan,
     pivots: Tuple[Tuple[int, ...], ...],
     templates: Sequence[Sequence[RVec]],
-    plan: FillPlan,
     tail: Optional[Tuple[RVec, ...]] = None,
 ) -> Iterator[RingCode]:
-    """Every code obtained by writing residue digits into the plan's slots.
+    """Every code of the plan's shape obtained by writing residue digits
+    into the plan's slots.
 
-    templates[h-1][r][c] is entry c of row r of block h.  Each slot takes
-    every residue digit in turn, the last slot varying fastest (the order
-    of itertools.product over the slots); the other digits stay as the
-    template has them.  tail, if given, is appended unchanged as a final
-    block.  The written rows are chosen in nested loops.  With the plan's
-    test, a row keeps the variants that pass its own and the unwritten
-    rows' masks, and each choice is checked against the rows chosen before
-    it, so the survivors come out in stream order.
+    templates[h-1][r][c] is entry c of row r of block h, and must have a
+    zero digit at each of its row's slots: a write ORs its digit in.  Each
+    slot takes every residue digit in turn, the last slot varying fastest
+    (the order of itertools.product over the slots); the other digits stay
+    as the template has them.  tail, if given, is appended unchanged as a
+    final block.  The written rows are chosen in nested loops.  With the
+    plan's test, a row keeps the variants that pass its own and the
+    unwritten rows' masks, and each choice is checked against the rows
+    chosen before it, so the survivors come out in stream order.
     """
-    profile = tuple(profile)
+    spec, level, n, profile, _, test = plan
     blocks = [[tuple(row) for row in block] for block in templates]
     if tail is not None:
         blocks.append(list(tail))
-    dot, q, test = spec.ops.dot, spec.q, plan.test
-    bases = [tuple(x & k for x, k in zip(blocks[h - 1][r], keep)) for h, r, _, keep in plan.rows]
+    dot, q = spec.ops.dot, spec.q
+    bases = [blocks[h - 1][r] for h, r, _ in plan.rows]  # read before any write
     if test is not None:
         pairs, masks = test
         if any(dot(blocks[a - 1][i], blocks[b - 1][j]) & mk for a, i, b, j, mk in pairs):
@@ -253,7 +254,7 @@ def fill_candidates(
         return RingCode(spec, level, n, profile, tuple(map(tuple, blocks)), pivots)
 
     def walk(k: int) -> Iterator[RingCode]:
-        h, r, writes, _ = plan.rows[k]
+        h, r, writes = plan.rows[k]
         if test is None:
             rows, earlier = _row_variants(bases[k], writes, q), ()
         else:
@@ -267,28 +268,6 @@ def fill_candidates(
                     yield from walk(k + 1)
 
     yield from walk(0) if plan.rows else iter((make(),))
-
-
-def bottom_blocks(
-    spec: ChainRingSpec, n: int, free_cols: Sequence[int], count: int
-) -> List[Tuple[Tuple[RVec, ...], Tuple[int, ...]]]:
-    """Every count-dimensional subspace of the free columns, as a block.
-
-    Each canonical basis is placed at the free columns; a residue digit is
-    its own Teichmueller lift.  Returns (rows, pivot columns) per subspace.
-    """
-    out = []
-    # looked up on the module at call time, so a rebinding there (the
-    # benchmark's tracer wraps it) sees every call
-    for sub in fieldcodes.enumerate_subspaces(spec.gr, len(free_cols), count):
-        rows = []
-        for frow in sub.rows:
-            full = [0] * n
-            for pos, val in zip(free_cols, frow):
-                full[pos] = val
-            rows.append(tuple(full))
-        out.append((tuple(rows), tuple(free_cols[p] for p in sub.pivots)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
-"""Shared test helpers: cached code pools and random instance generators."""
+"""Shared test helpers: cached code pools, random instance generators and
+the reference walks the fast searches are checked against."""
 
 import functools
 import random
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from chaincodes.chain import ChainRingSpec, cr_u_pow, from_u_adic, preset
-from chaincodes.fieldcodes import FieldCode, make_field_code
+from chaincodes.enumeration import _all_types
+from chaincodes.fieldcodes import (
+    FieldCode,
+    enumerate_subspaces,
+    is_self_orthogonal_field,
+    is_subcode,
+    make_field_code,
+    zero_code,
+)
 from chaincodes.galois import GRSpec
 from chaincodes.oracle import enumerate_codes_of_type
 from chaincodes.ringcodes import (
@@ -18,17 +27,34 @@ from chaincodes.ringcodes import (
 )
 
 
-def all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """All type tuples of length e with at most n pivots in total."""
+def enumerate_extensions(code: FieldCode, d: int) -> Iterator[FieldCode]:
+    """All d-dimensional subspaces containing the given code, by filtering
+    the walk over every d-dimensional subspace of the ambient space."""
+    for cand in enumerate_subspaces(code.gr, code.n, d):
+        if is_subcode(code, cand):
+            yield cand
 
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 0:
-            yield tuple(prefix)
+
+@functools.lru_cache(maxsize=None)
+def _so_extensions(code: FieldCode, d: int) -> Tuple[FieldCode, ...]:
+    return tuple(e for e in enumerate_extensions(code, d) if is_self_orthogonal_field(e))
+
+
+def reference_so_chains(
+    spec: ChainRingSpec, n: int, lambdas_head: Sequence[int]
+) -> Iterator[Tuple[FieldCode, ...]]:
+    """The members of every nested self-orthogonal chain with the given
+    dimension steps, each member grown by enumerate_extensions."""
+
+    def grow(prefix: Tuple[FieldCode, ...], idx: int) -> Iterator[Tuple[FieldCode, ...]]:
+        if idx == len(lambdas_head):
+            yield prefix
             return
-        for take in range(remaining + 1):
-            yield from rec(prefix + [take], remaining - take, slots - 1)
+        prev = prefix[-1] if prefix else zero_code(spec.gr, n)
+        for ext in _so_extensions(prev, prev.dim + lambdas_head[idx]):
+            yield from grow(prefix + (ext,), idx + 1)
 
-    yield from rec([], n, e)
+    yield from grow((), 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -36,7 +62,7 @@ def so_pool(name: str, n: int) -> Tuple[RingCode, ...]:
     """Every self-orthogonal code of length n over the named preset ring."""
     spec = preset(name)
     out: List[RingCode] = []
-    for lam in all_types(spec.e, n):
+    for lam in _all_types(spec.e, n):
         out.extend(
             enumerate_codes_of_type(spec, n, lam, predicate=is_self_orthogonal_ring)
         )

@@ -23,7 +23,7 @@ from chaincodes.chain import (
     to_u_adic,
     u_valuation,
 )
-from chaincodes.enumeration import count_so_type, total_counts
+from chaincodes.enumeration import _all_types, count_so_type, total_counts
 from chaincodes.fieldcodes import (
     bilinear_form,
     codewords,
@@ -61,7 +61,7 @@ from chaincodes.ringcodes import (
 )
 from chaincodes.tables import GOLDEN_TABLES
 
-from _util import all_types, random_code, random_field_code, so_pool
+from _util import random_code, random_field_code, so_pool
 
 
 
@@ -187,10 +187,10 @@ def test_criterion_08_totals():
     assert total_counts(r41, 3)[0] == table_sum + 1 == 291
     assert total_counts(r41, 2)[1] == 3
     brute_sd = sum(
-        brute_force_code_count(r41, 2, lam, "sd") for lam in all_types(4, 2)
+        brute_force_code_count(r41, 2, lam, "sd") for lam in _all_types(4, 2)
     )
     brute_so = sum(
-        brute_force_code_count(r41, 2, lam, "so") for lam in all_types(4, 2)
+        brute_force_code_count(r41, 2, lam, "so") for lam in _all_types(4, 2)
     )
     assert brute_sd == 3
     assert brute_so == total_counts(r41, 2)[0] == 21
@@ -337,7 +337,7 @@ def test_criterion_09h_staged_lift_agrees_with_recount():
         half = expected_chain_length(spec)
         plan = stage_plan(spec)
         for n in (1, 2, 3):
-            for lam in all_types(spec.e, n):
+            for lam in _all_types(spec.e, n):
                 for chain in enumerate_so_chains(spec, n, lam[:half]):
                     if validate_chain(chain):
                         continue

@@ -290,6 +290,13 @@ def test_malformed_type_exits_two(capsys):
     assert "error:" in err
 
 
+def test_negative_length_exits_two(capsys):
+    rc, out, err = run(capsys, "total", "--preset", "R4,1", "--n", "-2")
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "-2" in err
+
+
 def test_missing_chain_file_exits_two(capsys):
     rc, _, err = run(capsys, "lift", "--chain", "/nonexistent/chain.json")
     assert rc == 2

@@ -1,5 +1,6 @@
 """Closed-form counts: q-binomials, per-type formulas, frozen tables."""
 
+import math
 import random
 
 import pytest
@@ -34,10 +35,9 @@ from chaincodes.fieldcodes import (
     is_self_orthogonal_field,
     sigma_doubly_even,
 )
+from chaincodes.oracle import brute_force_code_count
 from chaincodes.ringcodes import canonical_key, is_self_orthogonal_ring
 from chaincodes.tables import GOLDEN_TABLES
-
-from _util import all_types
 
 
 def test_gaussian_binomial_pins():
@@ -96,6 +96,19 @@ def test_single_coordinate_totals_count_ideals():
         assert total_counts(spec, 1) == (want_so, want_sd)
 
 
+def test_negative_lengths_are_refused():
+    r41 = preset("R4,1")
+    for count in (
+        lambda: count_so_type(r41, -2, (0, 0, 0, 0)),
+        lambda: count_sd_type(r41, -2, (0, 0, 0, 0)),
+        lambda: total_counts(r41, -2),
+        lambda: brute_force_code_count(r41, -2, (0, 0, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="length .* got -2"):
+            count()
+    assert total_counts(r41, 0) == (1, 1)
+
+
 def test_so_feasible_bounds():
     r41 = preset("R4,1")
     assert not so_feasible(r41, 1, (0, 1, 0, 0))
@@ -104,7 +117,7 @@ def test_so_feasible_bounds():
     assert so_feasible(r41, 2, (0, 1, 0, 1))
     assert not so_feasible(r41, 2, (0, 1, 0, 2))
     for n in (1, 2, 3):
-        for lam in all_types(4, n):
+        for lam in _all_types(4, n):
             if not so_feasible(r41, n, lam):
                 assert count_so_type(r41, n, lam) == 0
 
@@ -117,7 +130,7 @@ def test_sd_shape_and_totals():
     assert not sd_type_shape_ok(r41, 3, (0, 1, 0, 1))
     for n in (2, 3):
         sd_total = 0
-        for lam in all_types(4, n):
+        for lam in _all_types(4, n):
             cnt = count_sd_type(r41, n, lam)
             assert cnt <= count_so_type(r41, n, lam)
             if not sd_type_shape_ok(r41, n, lam):
@@ -155,7 +168,7 @@ def test_type_count_decomposes_over_chains(name, n):
     spec = preset(name)
     half = expected_chain_length(spec)
     by_head = {}
-    for lam in all_types(spec.e, n):
+    for lam in _all_types(spec.e, n):
         head = lam[:half]
         if head not in by_head:
             by_head[head] = _valid_chains(spec, n, head)
@@ -185,7 +198,7 @@ _CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
 
 def _per_type_sums(spec, n):
     """(so, sd) summed type by type, or the class of the first exception."""
-    types = list(all_types(spec.e, n))
+    types = list(_all_types(spec.e, n))
     try:
         return (
             sum(count_so_type(spec, n, lam) for lam in types),
@@ -217,8 +230,10 @@ def test_total_counts_equals_per_type_sums(spec, lengths):
     # the head-by-head total must raise the same class
     e = spec.e
     for n in lengths:
-        types = list(all_types(e, n))
-        assert list(_all_types(spec, n)) == types
+        types = list(_all_types(e, n))
+        # every type once, in lexicographic order: C(n + e, e) of them
+        assert len(types) == math.comb(n + e, e)
+        assert types == sorted(set(types))
         for lam in types:
             cum = _cum(lam)
             paired = all(cum(i) + cum(e - i + 1) <= n for i in range(e // 2 + 1, e + 1))

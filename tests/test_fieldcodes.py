@@ -12,12 +12,12 @@ from chaincodes.fieldcodes import (
     contains,
     contains_all_one,
     elementary_symmetric_2,
-    enumerate_extensions,
     enumerate_subspaces,
     is_doubly_even,
     is_self_orthogonal_field,
     is_subcode,
     make_field_code,
+    placed_subspaces,
     sigma_doubly_even,
     vec_dot,
     zero_code,
@@ -150,9 +150,13 @@ def test_enumerate_subspaces_counts_match_gaussian_binomials():
 def test_enumerate_extensions_are_supercodes():
     gr = make_galois_ring(2, 1)
     base = make_field_code(gr, 4, [(1, 1, 1, 1)])
-    exts = list(enumerate_extensions(base, 2))
+    free = [c for c in range(4) if c not in base.pivots]
+    exts = [
+        make_field_code(gr, 4, base.rows + rows)
+        for rows, _ in placed_subspaces(gr, 4, free, 1)
+    ]
     # one extension per line of the 3-dimensional quotient: 2^3 - 1 = 7
-    assert len(exts) == 7
+    assert len(set(exts)) == len(exts) == 7
     for ext in exts:
         assert ext.dim == 2
         assert is_subcode(base, ext)

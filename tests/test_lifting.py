@@ -13,6 +13,7 @@ from chaincodes.chain import (
     preset,
     to_u_adic,
 )
+from chaincodes.enumeration import _all_types
 from chaincodes.fieldcodes import make_field_code, zero_code
 from chaincodes.lifting import (
     SOChain,
@@ -37,7 +38,7 @@ from chaincodes.ringcodes import (
     torsion_code,
 )
 
-from _util import all_types
+from _util import reference_so_chains
 
 
 def test_stage_plans_for_presets():
@@ -215,7 +216,7 @@ def test_valid_chains_are_never_obstructed():
         want = expected_chain_length(spec)
         chains = [
             chain
-            for head in all_types(want, 2)  # a self-orthogonal code has dim <= n/2
+            for head in _all_types(want, 2)  # a self-orthogonal code has dim <= n/2
             for chain in enumerate_so_chains(spec, 4, head)
             if not validate_chain(chain)
         ]
@@ -290,6 +291,32 @@ def test_enumerate_so_chains_counts():
         list(enumerate_so_chains(r41, 3, (0, 1, 0)))
 
 
+_CHAIN_GRID = [
+    (name, n)
+    for name in ("R4,1", "R5,1", "CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)")
+    for n in range(1, 6)
+] + [(name, n) for name in ("R6,2", "R8,2", "CR(2^2,2;3,1;1)") for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("name, n", _CHAIN_GRID)
+def test_chains_equal_the_reference_walk(name, n):
+    # growing each member by the subspaces of its free columns finds the
+    # same chains as filtering every subspace of the ambient space; no
+    # self-orthogonal code has dimension above n/2
+    spec = parse_ring_spec(name) if name.startswith("CR(") else preset(name)
+    for head in _all_types(expected_chain_length(spec), n):
+        got = [chain.codes for chain in enumerate_so_chains(spec, n, head)]
+        assert len(set(got)) == len(got), head
+        want = set(reference_so_chains(spec, n, head)) if 2 * sum(head) <= n else set()
+        assert set(got) == want, head
+
+
+def test_length_seven_chain_count():
+    chains = list(enumerate_so_chains(preset("R4,1"), 7, (1, 1)))
+    assert len(chains) == 945
+    assert sum(not validate_chain(chain) for chain in chains) == 525
+
+
 def _lift_digest(name, n):
     """(yields, SHA-256) over every base_lift/lift_once yield of every valid
     chain of every type, stage by stage, in the order they are produced."""
@@ -298,7 +325,7 @@ def _lift_digest(name, n):
     stages = len(stage_plan(spec))
     digest = hashlib.sha256()
     count = 0
-    for lam in all_types(spec.e, n):
+    for lam in _all_types(spec.e, n):
         for chain in enumerate_so_chains(spec, n, lam[:half]):
             if validate_chain(chain):
                 continue
@@ -333,11 +360,9 @@ def test_lift_yields_are_pinned(name, n, pinned):
 def _filtered_stream(spec, n, level, gamma, carried, templates, new_count):
     """A stage's candidates written without the row-wise test, then
     filtered by the two whole-code predicates."""
-    _, profile, bottoms = lifting._lift_plan(spec, n, level, gamma, carried, new_count)
+    _, bottoms = lifting._lift_plan(spec, n, level, gamma, carried, new_count)
     for rows, pivots, plan in bottoms:
-        for cand in fill_candidates(
-            spec, level, n, profile, pivots, templates, plan._replace(test=None), rows
-        ):
+        for cand in fill_candidates(plan._replace(test=None), pivots, templates, rows):
             if is_self_orthogonal_ring(cand) and satisfies_deep_orthogonality(cand):
                 yield cand
 
@@ -361,7 +386,7 @@ def test_stage_search_equals_filtered_stream(name, n):
     half = expected_chain_length(spec)
     stages = len(stage_plan(spec))
     calls = 0
-    for lam in all_types(spec.e, n):
+    for lam in _all_types(spec.e, n):
         for chain in enumerate_so_chains(spec, n, lam[:half]):
             if validate_chain(chain):
                 continue

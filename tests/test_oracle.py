@@ -4,14 +4,14 @@ import pytest
 
 from chaincodes import fieldcodes, lifting, oracle
 from chaincodes.chain import PRESET_NAMES, preset
-from chaincodes.enumeration import count_so_type, sigma, total_counts
+from chaincodes.enumeration import _all_types, count_so_type, sigma, total_counts
 from chaincodes.fieldcodes import make_field_code, zero_code
 from chaincodes.lifting import SOChain, base_lift, lift_once, stage_count_formula
 from chaincodes.oracle import (
     BudgetError,
     OracleBudget,
-    _digit_slots,
     _matrix_candidates,
+    _walk_size,
     brute_force_code_count,
     brute_force_doubly_even_count,
     brute_force_lift_count,
@@ -20,7 +20,6 @@ from chaincodes.oracle import (
 )
 from chaincodes.tables import GOLDEN_TABLES
 
-from _util import all_types
 
 
 def test_first_table_rows_recounted_exhaustively():
@@ -43,7 +42,7 @@ def test_unit_multiples_deduplicate():
 
 def _brute_total(spec, n, predicate):
     total = 0
-    for lam in all_types(spec.e, n):
+    for lam in _all_types(spec.e, n):
         total += brute_force_code_count(spec, n, lam, predicate)
     return total
 
@@ -158,7 +157,7 @@ def test_lift_recount_matches_search_on_every_chain(name):
     assert len(lifting.stage_plan(spec)) == 2
     half = lifting.expected_chain_length(spec)
     compared = 0
-    for lam in all_types(spec.e, 3):
+    for lam in _all_types(spec.e, 3):
         for chain in lifting.enumerate_so_chains(spec, 3, lam[:half]):
             if lifting.validate_chain(chain):
                 continue
@@ -170,17 +169,15 @@ def test_lift_recount_matches_search_on_every_chain(name):
 
 
 def test_oracle_walk_size_matches_budget_estimate():
-    # the budget check trusts _digit_slots: the walk must yield exactly
-    # placements * q^slots distinct matrices, at full depth and on finer
-    # profiles below it
+    # the budget check trusts _walk_size: the walk must yield exactly that
+    # many distinct matrices, at full depth and on finer profiles below it
     checked = 0
     for name in PRESET_NAMES:
         spec = preset(name)
         for level in (spec.e, spec.e - 2):
             for n in (1, 2):
-                for lam in all_types(spec.e, n):
-                    slots, placements = _digit_slots(lam, level, n)
-                    want = placements * spec.q**slots
+                for lam in _all_types(spec.e, n):
+                    want = _walk_size(spec, n, lam, level)
                     if want > 1500:
                         continue
                     seen = set()
