@@ -41,7 +41,7 @@ from .chain import (
     preset,
     to_u_adic,
 )
-from .enumeration import _all_types, count_sd_type, count_so_type, total_counts
+from .enumeration import _all_types, total_counts
 from .fieldcodes import make_field_code
 from .galois import format_field_elem, parse_field_elem
 from .lifting import (
@@ -52,15 +52,9 @@ from .lifting import (
     stage_plan,
     validate_chain,
 )
-from .oracle import (
-    BudgetError,
-    CountReport,
-    OracleBudget,
-    brute_force_code_count,
-    reproduce_table,
-)
+from .oracle import BudgetError, OracleBudget
 from .ringcodes import RingCode
-from .tables import GOLDEN_TABLES
+from .tables import GOLDEN_TABLES, CountReport, compare_count, reproduce_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -88,11 +82,20 @@ def _parse_type(text: str, e: int) -> Tuple[int, ...]:
     return lambdas
 
 
+def _compare(
+    args: argparse.Namespace, spec: ChainRingSpec, lambdas: Sequence[int], **opts
+) -> CountReport:
+    """compare_count for count and oracle-compare, which share --n,
+    --self-dual and --budget and one query string."""
+    kind = "sd" if args.self_dual else "so"
+    return compare_count(
+        f"{format_ring_spec(spec)} n={args.n} type={_type_str(lambdas)} {kind}",
+        spec, args.n, lambdas, kind, budget=_budget_from_args(args), **opts,
+    )
+
+
 def _budget_from_args(args: argparse.Namespace) -> Optional[OracleBudget]:
-    raw = getattr(args, "budget", None)
-    if raw is None:
-        return None
-    return OracleBudget(max_candidates=raw, max_length=10**9, max_ring_bits=10**9)
+    return None if args.budget is None else OracleBudget.lifted(args.budget)
 
 
 def _type_str(lambdas: Sequence[int]) -> str:
@@ -112,16 +115,6 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _report_payload(report: CountReport) -> Dict[str, object]:
-    return {
-        "query": report.query,
-        "closed_form": str(report.closed_form),
-        "brute_force": None if report.brute_force is None else str(report.brute_force),
-        "elapsed": f"{report.elapsed:.3f}",
-        "match": report.match,
-    }
-
-
 def _report_row(report: CountReport) -> List[str]:
     return [
         report.query,
@@ -133,6 +126,12 @@ def _report_row(report: CountReport) -> List[str]:
 
 
 _REPORT_HEADER = ["query", "closed_form", "brute_force", "elapsed", "match"]
+
+
+def _report_payload(report: CountReport) -> Dict[str, object]:
+    """The CSV row as JSON: a recount that did not run is null, match a bool."""
+    row = dict(zip(_REPORT_HEADER, _report_row(report)))
+    return dict(row, brute_force=row["brute_force"] or None, match=report.match)
 
 
 # ---------------------------------------------------------------------------
@@ -176,59 +175,38 @@ def _cmd_ring_info(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     spec = _ring_from_args(args)
     lambdas = _parse_type(args.type, spec.e)
-    kind = "sd" if args.self_dual else "so"
-    counter = count_sd_type if args.self_dual else count_so_type
-    closed = counter(spec, args.n, lambdas)
-    brute: Optional[int] = None
-    if args.oracle:
-        brute = brute_force_code_count(
-            spec, args.n, lambdas, kind, budget=_budget_from_args(args)
-        )
-    match = None if brute is None else brute == closed
-    payload = {
-        "query": f"{format_ring_spec(spec)} n={args.n} type={_type_str(lambdas)} {kind}",
-        "closed_form": str(closed),
-        "oracle": None if brute is None else str(brute),
-        "match": match,
-    }
+    report = _compare(args, spec, lambdas, recount=args.oracle)
+    _, closed, brute, _, match = _report_row(report)
     if args.format == "csv":
-        _emit_csv(
-            ["type", "count", "oracle", "match"],
-            [[
-                _type_str(lambdas),
-                str(closed),
-                "" if brute is None else str(brute),
-                "" if match is None else str(match).lower(),
-            ]],
-        )
+        row = [_type_str(lambdas), closed, brute, match]
+        _emit_csv(["type", "count", "oracle", "match"], [row])
     else:
-        _emit_json(payload)
-    return EXIT_OK if match is not False else EXIT_MISMATCH
+        _emit_json(
+            {
+                "query": report.query,
+                "closed_form": closed,
+                "oracle": brute or None,  # "" when the recount did not run
+                "match": report.match,
+            }
+        )
+    return EXIT_OK if report.match is not False else EXIT_MISMATCH
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     table = GOLDEN_TABLES[args.table]
-    spec = preset(table.preset)
-    rows = []
-    for lambdas, _expected in table.rows:
-        rows.append((lambdas, count_so_type(spec, table.n, lambdas)))
+    reports = reproduce_table(args.table, with_oracle=False)
+    rows = [(lambdas, str(r.closed_form)) for (lambdas, _), r in zip(table.rows, reports)]
     if args.format == "json":
         _emit_json(
             {
                 "table": args.table,
-                "ring": format_ring_spec(spec),
+                "ring": format_ring_spec(preset(table.preset)),
                 "n": table.n,
-                "rows": [
-                    {"type": list(lambdas), "count": str(count)}
-                    for lambdas, count in rows
-                ],
+                "rows": [{"type": list(lambdas), "count": count} for lambdas, count in rows],
             }
         )
     else:
-        _emit_csv(
-            ["type", "count"],
-            [[_type_str(lambdas), str(count)] for lambdas, count in rows],
-        )
+        _emit_csv(["type", "count"], [[_type_str(lambdas), count] for lambdas, count in rows])
     return EXIT_OK
 
 
@@ -260,12 +238,12 @@ def _parse_chain_file(path: str) -> Tuple[ChainRingSpec, int, Tuple[int, ...], S
     doc = json.loads(raw)
     if not isinstance(doc, dict):
         raise ValueError("chain description must be a JSON object")
-    if "preset" in doc:
-        spec = preset(doc["preset"])
-    elif "ring" in doc:
-        spec = parse_ring_spec(doc["ring"])
-    else:
+    key = "preset" if "preset" in doc else "ring"
+    if key not in doc:
         raise ValueError("chain description needs a 'preset' or 'ring' key")
+    if not isinstance(doc[key], str):
+        raise ValueError(f"chain description's {key!r} must be a string")
+    spec = preset(doc[key]) if key == "preset" else parse_ring_spec(doc[key])
     try:
         n = int(doc["n"])
         lambdas = tuple(int(x) for x in doc["type"])
@@ -276,6 +254,8 @@ def _parse_chain_file(path: str) -> Tuple[ChainRingSpec, int, Tuple[int, ...], S
         raise ValueError(
             f"type has {len(lambdas)} entries; ring depth is {spec.e}"
         )
+    if not isinstance(members_raw, list) or not all(isinstance(m, list) for m in members_raw):
+        raise ValueError("chain members must be an array of arrays of rows")
     members = []
     for rows_raw in members_raw:
         rows = []
@@ -362,35 +342,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_oracle_count=args.max_oracle,
         budget=_budget_from_args(args),
     )
-    rows = []
-    ok = True
-    for report, (lambdas, expected) in zip(reports, table.rows):
-        row_ok = report.closed_form == expected and report.match is not False
-        ok = ok and row_ok
-        payload = _report_payload(report)
-        payload["reference"] = str(expected)
-        payload["row_ok"] = row_ok
-        rows.append(payload)
+    rows = [
+        (report, str(expected), report.closed_form == expected and report.match is not False)
+        for report, (_, expected) in zip(reports, table.rows)
+    ]
+    ok = all(row_ok for _, _, row_ok in rows)
     if args.format == "csv":
         _emit_csv(
             _REPORT_HEADER + ["reference", "row_ok"],
-            [
-                _report_row(report) + [row["reference"], str(row["row_ok"]).lower()]
-                for report, row in zip(reports, rows)
-            ],
+            [_report_row(r) + [ref, str(row_ok).lower()] for r, ref, row_ok in rows],
         )
     else:
-        _emit_json({"table": args.table, "all_match": ok, "rows": rows})
+        payloads = [
+            dict(_report_payload(r), reference=ref, row_ok=row_ok) for r, ref, row_ok in rows
+        ]
+        _emit_json({"table": args.table, "all_match": ok, "rows": payloads})
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     import random
-    import time
 
     spec = _ring_from_args(args)
-    kind = "sd" if args.self_dual else "so"
-    counter = count_sd_type if args.self_dual else count_so_type
     if args.type:
         targets = [_parse_type(args.type, spec.e)]
     else:
@@ -398,34 +371,12 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         if args.sample is not None:
             rng = random.Random(args.seed)
             targets = rng.sample(targets, min(args.sample, len(targets)))
-    budget = _budget_from_args(args)
-    reports = []
-    ok = True
-    for lambdas in targets:
-        started = time.monotonic()
-        closed = counter(spec, args.n, lambdas)
-        brute: Optional[int] = None
-        try:
-            brute = brute_force_code_count(spec, args.n, lambdas, kind, budget=budget)
-        except BudgetError:
-            if args.type:
-                raise
-        match = None if brute is None else brute == closed
-        ok = ok and match is not False
-        reports.append(
-            CountReport(
-                query=f"{format_ring_spec(spec)} n={args.n} type={_type_str(lambdas)} {kind}",
-                closed_form=closed,
-                brute_force=brute,
-                elapsed=time.monotonic() - started,
-                match=match,
-            )
-        )
+    reports = [_compare(args, spec, lambdas, strict=bool(args.type)) for lambdas in targets]
     if args.format == "csv":
         _emit_csv(_REPORT_HEADER, [_report_row(r) for r in reports])
     else:
         _emit_json([_report_payload(r) for r in reports])
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if all(r.match is not False for r in reports) else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------

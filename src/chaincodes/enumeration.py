@@ -396,6 +396,7 @@ def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
 
 def _all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:
     """Every type of depth e with at most n pivots, in lexicographic order."""
+    _check_length(n)
     lam = [0] * e
 
     def grow(i: int, left: int) -> Iterator[Tuple[int, ...]]:

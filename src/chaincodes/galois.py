@@ -183,6 +183,8 @@ def field_mul(R: GRSpec, a: int, b: int) -> int:
 
 
 def field_pow(R: GRSpec, a: int, k: int) -> int:
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
     out = 1
     while k:
         if k & 1:
@@ -219,6 +221,8 @@ def format_field_elem(R: GRSpec, c: int) -> str:
 
 def parse_field_elem(R: GRSpec, text: str) -> int:
     """Inverse of format_field_elem; also takes sums and x-power notation."""
+    # the generator x reduced mod the modulus (x itself is no element of F_2)
+    gen = 2 if R.m > 1 else 2 ^ R.field_modulus
     total = 0
     for raw in text.split("+"):
         term = raw.strip().replace("xi", "ξ")
@@ -227,9 +231,9 @@ def parse_field_elem(R: GRSpec, text: str) -> int:
         if term == "1":
             total ^= 1
         elif term in ("ξ", "x"):
-            total ^= 2
-        elif term.startswith(("ξ^", "x^")):
-            total ^= field_pow(R, 2, int(term[2:]))
+            total ^= gen
+        elif term[:2] in ("ξ^", "x^") and term[2:].isascii() and term[2:].isdigit():
+            total ^= field_pow(R, gen, int(term[2:]))
         elif term.isdigit() and int(term) < R.q:
             total ^= int(term)
         else:

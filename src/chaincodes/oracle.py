@@ -5,7 +5,9 @@ matrices are enumerated directly, whole codeword sets
 (ringcodes.code_signature) settle duplicates, and doubly even means every
 single codeword passes, not just a basis.  The searches are deliberately
 naive so they can arbitrate the fast paths; budget guards keep them at
-desk scale unless explicitly raised.
+desk scale unless explicitly raised.  Setting a recount beside its closed
+form (CountReport, compare_count, reproduce_table) is the business of
+tables, so nothing here reads the closed forms.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import fieldcodes
 from .chain import ChainRingSpec
-from .enumeration import _check_length, count_so_type
+from .enumeration import _check_length
 from .fieldcodes import (
     bilinear_form,
     codewords,
@@ -49,8 +50,6 @@ __all__ = [
     "brute_force_code_count",
     "brute_force_lift_count",
     "brute_force_doubly_even_count",
-    "CountReport",
-    "reproduce_table",
 ]
 
 
@@ -72,14 +71,15 @@ class OracleBudget:
     max_length: int = 5
     max_ring_bits: int = 13
 
+    @classmethod
+    def lifted(cls, max_candidates: int) -> OracleBudget:
+        """A candidate ceiling alone, the desk-scale guards lifted."""
+        return cls(max_candidates, max_length=10**9, max_ring_bits=10**9)
+
 
 def default_budget() -> OracleBudget:
     raw = os.environ.get("CHAINCODES_BUDGET")
-    if raw:
-        return OracleBudget(
-            max_candidates=int(raw), max_length=10**9, max_ring_bits=10**9
-        )
-    return OracleBudget()
+    return OracleBudget.lifted(int(raw)) if raw else OracleBudget()
 
 
 def _check_budget(
@@ -320,60 +320,3 @@ def brute_force_doubly_even_count(n: int, d: int, m: int, with_one: bool) -> int
         if ok and contains_all_one(code) == with_one:
             count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# table reproduction reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountReport:
-    query: str
-    closed_form: int
-    brute_force: Optional[int]
-    elapsed: float
-    match: Optional[bool]
-
-
-def reproduce_table(
-    index: int,
-    with_oracle: bool = True,
-    max_oracle_count: Optional[int] = None,
-    budget: Optional[OracleBudget] = None,
-) -> List[CountReport]:
-    """Recompute one frozen reference table row by row.
-
-    Each report carries the closed-form value and, when the oracle ran,
-    the exhaustive recount plus whether the two agree.  Rows whose
-    closed-form value exceeds max_oracle_count skip the oracle.
-    """
-    from .chain import preset
-    from .tables import GOLDEN_TABLES
-
-    table = GOLDEN_TABLES[index]
-    spec = preset(table.preset)
-    reports = []
-    for lambdas, _expected in table.rows:
-        started = time.monotonic()
-        closed = count_so_type(spec, table.n, lambdas)
-        brute: Optional[int] = None
-        if with_oracle and (max_oracle_count is None or closed <= max_oracle_count):
-            try:
-                brute = brute_force_code_count(
-                    spec, table.n, lambdas, "so", budget=budget
-                )
-            except BudgetError:
-                brute = None
-        elapsed = time.monotonic() - started
-        match = None if brute is None else (brute == closed)
-        reports.append(
-            CountReport(
-                query=f"{table.preset} n={table.n} type={','.join(map(str, lambdas))}",
-                closed_form=closed,
-                brute_force=brute,
-                elapsed=elapsed,
-                match=match,
-            )
-        )
-    return reports

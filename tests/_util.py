@@ -1,10 +1,16 @@
-"""Shared test helpers: cached code pools, random instance generators and
-the reference walks the fast searches are checked against."""
+"""Shared test helpers: cached code pools, random instance generators,
+the reference walks the fast searches are checked against, and a child
+interpreter for calls that might never return."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
+import chaincodes
 from chaincodes.chain import ChainRingSpec, cr_u_pow, from_u_adic, preset
 from chaincodes.enumeration import _all_types
 from chaincodes.fieldcodes import (
@@ -116,3 +122,13 @@ def reference_codewords(code: RingCode) -> FrozenSet[RVec]:
             multiples = [rv_truncate(spec, rv_scale(spec, r, scaled), level) for r in coeffs]
             words = [tuple(map(add, acc, mult)) for acc in words for mult in multiples]
     return frozenset(rv_truncate(spec, wd, level) for wd in words)
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """python *args on this package's source, killed after 20 s, so a call
+    that never returns fails its test instead of stalling the suite."""
+    src = str(Path(chaincodes.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=src),
+    )

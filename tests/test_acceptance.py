@@ -48,7 +48,6 @@ from chaincodes.oracle import (
     BudgetError,
     brute_force_code_count,
     brute_force_lift_count,
-    reproduce_table,
 )
 from chaincodes.ringcodes import (
     codes_equal,
@@ -59,7 +58,7 @@ from chaincodes.ringcodes import (
     torsion_code,
     truncate_code,
 )
-from chaincodes.tables import GOLDEN_TABLES
+from chaincodes.tables import GOLDEN_TABLES, reproduce_table
 
 from _util import random_code, random_field_code, so_pool
 

@@ -5,9 +5,12 @@ import json
 
 import pytest
 
-from chaincodes import cli
+from chaincodes import cli, enumeration, oracle
+from chaincodes.chain import preset
 from chaincodes.cli import main
-from chaincodes.tables import GOLDEN_TABLES
+from chaincodes.tables import GOLDEN_TABLES, GoldenTable, reproduce_table
+
+from _util import run_child
 
 
 def run(capsys, *argv):
@@ -218,6 +221,39 @@ def test_lift_malformed_member_row_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("changes", [{"members": 5}, {"members": [5]}, {"preset": 5}, {"ring": 7}])
+def test_lift_malformed_shapes_exit_two(capsys, tmp_path, changes):
+    doc_in = dict(CHAIN_0111, **changes)
+    if "ring" in changes:
+        del doc_in["preset"]
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc_in))
+    rc, out, err = run(capsys, "lift", "--chain", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def lift_in_child(tmp_path, entry):
+    # an entry that never parses must fail the test, not hang the suite
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(dict(CHAIN_0111, members=[[], [[entry, "1", "0"]]])))
+    return run_child("-m", "chaincodes.cli", "lift", "--chain", str(path))
+
+
+@pytest.mark.parametrize("entry", ["ξ^-1", "x^-1", "ξ^+1", "x^1_0", "ξ^abc"])
+def test_lift_rejects_bad_exponents(tmp_path, entry):
+    proc = lift_in_child(tmp_path, entry)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot parse field element term")
+
+
+def test_lift_takes_large_exponents(tmp_path):
+    # over F_2 (modulus x) the generator is 0, so this entry is 1
+    proc = lift_in_child(tmp_path, "x^99999999999999999999+1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["generator"]["size"] == "64"
+
+
 def test_verify_table_json(capsys):
     rc, doc, _ = run_json(capsys, "verify", "--table", "1", "--format", "json")
     assert rc == 0
@@ -291,10 +327,11 @@ def test_malformed_type_exits_two(capsys):
 
 
 def test_negative_length_exits_two(capsys):
-    rc, out, err = run(capsys, "total", "--preset", "R4,1", "--n", "-2")
-    assert rc == 2
-    assert out == ""
-    assert "error:" in err and "-2" in err
+    for argv in (("total",), ("oracle-compare",), ("oracle-compare", "--type", "0,1,0,0")):
+        rc, out, err = run(capsys, *argv, "--preset", "R4,1", "--n", "-2")
+        assert rc == 2, argv
+        assert out == ""
+        assert "error:" in err and "-2" in err
 
 
 def test_missing_chain_file_exits_two(capsys):
@@ -322,6 +359,73 @@ def test_budget_override_admits_longer_lengths(capsys):
     assert rc == 0
     assert doc["closed_form"] == "63"
     assert doc["match"] is True
+
+
+@pytest.mark.parametrize(
+    "n, type_text, kind",
+    [(3, "0,1,0,0", "so"), (2, "0,1,0,1", "sd"), (6, "0,0,0,1", "so")],
+)
+def test_comparison_commands_agree(capsys, monkeypatch, n, type_text, kind):
+    # count --oracle, oracle-compare (one type, and the sweep) and
+    # reproduce_table report one closed form, recount and match.  Past the
+    # default length ceiling of 5, the one-type commands refuse with exit 2
+    # while the sweep and the table report an empty recount.
+    flags = ["--preset", "R4,1", "--n", str(n)] + (["--self-dual"] if kind == "sd" else [])
+    lambdas = tuple(int(x) for x in type_text.split(","))
+    refused = n > oracle.OracleBudget().max_length
+    seen = []
+    for argv in (
+        ["count", *flags, "--type", type_text, "--oracle"],
+        ["oracle-compare", *flags, "--type", type_text],
+    ):
+        rc, out, err = run(capsys, *argv)
+        if refused:
+            assert (rc, out) == (2, "") and err.startswith("budget:")
+            continue
+        assert rc == 0
+        doc = json.loads(out)
+        doc = doc[0] if argv[0] == "oracle-compare" else dict(doc, brute_force=doc["oracle"])
+        seen.append((doc["closed_form"], doc["brute_force"], doc["match"]))
+    rc, sweep, _ = run_json(capsys, "oracle-compare", *flags)
+    assert rc == 0
+    (row,) = [r for r in sweep if r["query"].endswith(f" type={type_text} {kind}")]
+    seen.append((row["closed_form"], row["brute_force"], row["match"]))
+    if kind == "so":
+        monkeypatch.setitem(GOLDEN_TABLES, 0, GoldenTable(0, "R4,1", n, ((lambdas, 0),)))
+        (report,) = reproduce_table(0)
+        brute = None if report.brute_force is None else str(report.brute_force)
+        seen.append((str(report.closed_form), brute, report.match))
+    counter = enumeration.count_sd_type if kind == "sd" else enumeration.count_so_type
+    closed = str(counter(preset("R4,1"), n, lambdas))
+    expected = (closed, None, None) if refused else (closed, closed, True)
+    assert seen == [expected] * len(seen)
+
+
+def test_comparison_looks_up_counters_at_call_time(capsys, monkeypatch):
+    # perfbench/tracer.py rebinds the counters on their modules, so every
+    # comparison command must call through those attributes
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(enumeration, "count_so_type")
+    counting(enumeration, "count_sd_type")
+    counting(oracle, "brute_force_code_count")
+    flags = ["--preset", "R4,1", "--n", "2", "--type", "0,1,0,1"]
+    run(capsys, "count", *flags, "--oracle")
+    run(capsys, "oracle-compare", *flags, "--self-dual")
+    run(capsys, "table", "--table", "3")
+    assert calls == (
+        ["count_so_type", "brute_force_code_count", "count_sd_type", "brute_force_code_count"]
+        + ["count_so_type"] * len(GOLDEN_TABLES[3].rows)
+    )
 
 
 def test_parser_is_built_once(capsys):

@@ -24,6 +24,8 @@ from chaincodes.galois import (
     teichmuller_set,
 )
 
+from _util import run_child
+
 RING_PARAMS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
 
@@ -128,6 +130,27 @@ def test_field_elem_formatting():
         assert parse_field_elem(R, format_field_elem(R, c)) == c
     with pytest.raises(ValueError):
         parse_field_elem(R, "ξ^9!")
+    assert parse_field_elem(R, "x^0") == 1
+    # negative exponents are checked in a child process (tests/test_cli.py
+    # and below), since a loop that never ends would stall the suite here
+    for text in ("ξ^+2", "ξ^ 2", "x^1_0", "ξ^²"):
+        with pytest.raises(ValueError, match="cannot parse field element term"):
+            parse_field_elem(R, text)
+    F2 = make_galois_ring(2, 1)  # modulus x, so the generator is 0
+    assert parse_field_elem(F2, "ξ") == 0
+    assert parse_field_elem(F2, "x+1") == 1
+    assert parse_field_elem(F2, "ξ^99999999999999999999") == 0
+
+
+def test_field_pow_refuses_negative_exponents():
+    code = (
+        "from chaincodes.galois import field_pow, make_galois_ring\n"
+        "try:\n"
+        "    field_pow(make_galois_ring(3, 2), 2, -1)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_child("-c", code).stdout.strip() == "negative exponent -1"
 
 
 def test_invalid_ring_parameters():

@@ -16,9 +16,8 @@ from chaincodes.oracle import (
     brute_force_doubly_even_count,
     brute_force_lift_count,
     enumerate_codes_of_type,
-    reproduce_table,
 )
-from chaincodes.tables import GOLDEN_TABLES
+from chaincodes.tables import GOLDEN_TABLES, reproduce_table
 
 
 
