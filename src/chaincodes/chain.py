@@ -8,12 +8,13 @@ An element is a plain int, its u-adic digit index sum_i d_i q^i: bits
 m*i .. m*i+m-1 hold the Teichmuller digit d_i of u^i as a residue-field
 bitmask, so a = sum_i u^i T(d_i).  Reading digits, truncating, the
 valuation, multiplying by a power of u and dividing by u are shifts and
-masks.  Addition and multiplication go through the ring's kernel
-(ChainRingSpec.ops), built on the first arithmetic call: one body on packed
-additive coordinates for every ring, whose look-ups between digit index and
-coordinates are arrays for rings of at most _TABLE_MAX elements and are
-computed per element for larger rings.  The nested-tuple arithmetic of this
-module is the reference the kernel is built from and tested against.
+masks.  Sums, negatives and products go only through the ring's kernel
+(ChainRingSpec.ops: add, neg, mul, dot), built on the first arithmetic
+call: one body on packed additive coordinates for every ring, whose
+look-ups between digit index and coordinates are arrays for rings of at
+most _TABLE_MAX elements and are computed per element for larger rings.
+The nested-tuple arithmetic of this module is the reference the kernel is
+built from and tested against.
 """
 
 from __future__ import annotations
@@ -496,12 +497,8 @@ def _kernel(spec: ChainRingSpec) -> Ops:
 
 
 # ---------------------------------------------------------------------------
-# elements and arithmetic
+# constants, powers and inverses (sums and products: ChainRingSpec.ops)
 # ---------------------------------------------------------------------------
-
-
-def cr_zero(spec: ChainRingSpec) -> CRElem:
-    return 0
 
 
 # The digit index of a constant costs about e q reference products (the
@@ -515,23 +512,6 @@ def cr_from_int(spec: ChainRingSpec, c: int) -> CRElem:
     return digits(_pack_ref(spec, _ref_from_gr(spec, gr_from_int(spec.gr, c))))
 
 
-def cr_add(spec: ChainRingSpec, a: CRElem, b: CRElem) -> CRElem:
-    return spec.ops.add(a, b)
-
-
-def cr_neg(spec: ChainRingSpec, a: CRElem) -> CRElem:
-    return spec.ops.neg(a)
-
-
-def cr_sub(spec: ChainRingSpec, a: CRElem, b: CRElem) -> CRElem:
-    ops = spec.ops
-    return ops.add(a, ops.neg(b))
-
-
-def cr_mul(spec: ChainRingSpec, a: CRElem, b: CRElem) -> CRElem:
-    return spec.ops.mul(a, b)
-
-
 def cr_pow(spec: ChainRingSpec, a: CRElem, n: int) -> CRElem:
     mul = spec.ops.mul
     out = 1
@@ -543,20 +523,12 @@ def cr_pow(spec: ChainRingSpec, a: CRElem, n: int) -> CRElem:
     return out
 
 
-def cr_is_unit(spec: ChainRingSpec, a: CRElem) -> bool:
-    return pi0(spec, a) != 0
-
-
 def cr_inv(spec: ChainRingSpec, a: CRElem) -> CRElem:
     """Inverse of a unit via the unit group order q^e - q^(e-1)."""
-    if not cr_is_unit(spec, a):
+    if not pi0(spec, a):
         raise ValueError("not a unit")
     order = spec.size() - spec.size(spec.e - 1)
     return cr_pow(spec, a, order - 1)
-
-
-def cr_u_pow(spec: ChainRingSpec, i: int) -> CRElem:
-    return 1 << (spec.m * i) if i < spec.e else 0
 
 
 # ---------------------------------------------------------------------------

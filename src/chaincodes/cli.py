@@ -41,7 +41,7 @@ from .chain import (
     preset,
     to_u_adic,
 )
-from .enumeration import _all_types, total_counts
+from .enumeration import _all_types, _check_length, total_counts
 from .fieldcodes import make_field_code
 from .galois import format_field_elem, parse_field_elem
 from .lifting import (
@@ -245,11 +245,16 @@ def _parse_chain_file(path: str) -> Tuple[ChainRingSpec, int, Tuple[int, ...], S
         raise ValueError(f"chain description's {key!r} must be a string")
     spec = preset(doc[key]) if key == "preset" else parse_ring_spec(doc[key])
     try:
-        n = int(doc["n"])
-        lambdas = tuple(int(x) for x in doc["type"])
-        members_raw = doc["members"]
+        n, lambdas, members_raw = doc["n"], tuple(doc["type"]), doc["members"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"chain description is missing or malformed: {exc}")
+    if not _is_int(n):
+        raise ValueError(f"chain description's 'n' (the code length) must be an integer, got {n!r}")
+    _check_length(n)
+    if not all(_is_int(x) and x >= 0 for x in lambdas):
+        raise ValueError(
+            f"chain description's 'type' entries must be nonnegative integers, got {list(lambdas)}"
+        )
     if len(lambdas) != spec.e:
         raise ValueError(
             f"type has {len(lambdas)} entries; ring depth is {spec.e}"
@@ -268,11 +273,16 @@ def _parse_chain_file(path: str) -> Tuple[ChainRingSpec, int, Tuple[int, ...], S
     return spec, n, lambdas, chain
 
 
+def _is_int(value: object) -> bool:
+    """Whether a JSON value is an integer (JSON true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _member_entry(spec: ChainRingSpec, entry: object) -> int:
     """A chain member entry: a field bitmask in range(q), or field notation."""
     if isinstance(entry, str):
         return parse_field_elem(spec.gr, entry)
-    if isinstance(entry, int) and not isinstance(entry, bool) and 0 <= entry < spec.q:
+    if _is_int(entry) and 0 <= entry < spec.q:
         return entry
     raise ValueError(
         f"chain member entry {entry!r} is not an element of the residue field of "

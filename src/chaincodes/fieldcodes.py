@@ -2,7 +2,7 @@
 
 Vectors are tuples of field elements (bitmasks). The bilinear form is the
 residue of the chain-ring inner product of Teichmuller lifts, which works out
-to the plain coordinatewise dot product over F_{2^m}.
+to the plain coordinatewise dot product over F_{2^m} (vec_dot).
 
 enumerate_subspaces lists subspaces by RREF; placed_subspaces places those of
 a column set in F_{2^m}^n, which grows chain members and lift bottom blocks.
@@ -54,11 +54,6 @@ def vec_dot(gr: GRSpec, a: FVec, b: FVec) -> int:
         if x and y:
             out ^= field_mul(gr, x, y)
     return out
-
-
-def bilinear_form(gr: GRSpec, a: FVec, b: FVec) -> int:
-    """Residue of the chain-ring inner product of Teichmuller lifts."""
-    return vec_dot(gr, a, b)
 
 
 def rref(gr: GRSpec, rows: Iterable[FVec], n: int) -> Tuple[Tuple[FVec, ...], Tuple[int, ...]]:

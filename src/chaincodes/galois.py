@@ -234,7 +234,7 @@ def parse_field_elem(R: GRSpec, text: str) -> int:
             total ^= gen
         elif term[:2] in ("ξ^", "x^") and term[2:].isascii() and term[2:].isdigit():
             total ^= field_pow(R, gen, int(term[2:]))
-        elif term.isdigit() and int(term) < R.q:
+        elif term.isascii() and term.isdigit() and int(term) < R.q:
             total ^= int(term)
         else:
             raise ValueError(f"cannot parse field element term {raw!r}")

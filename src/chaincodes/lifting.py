@@ -22,7 +22,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import fieldcodes
 from .chain import ChainRingSpec
-from .enumeration import _break_crossable, _cum, gaussian_binomial
+from .enumeration import _break_crossable, _check_length, _cum, gaussian_binomial
 from .fieldcodes import (
     FieldCode,
     contains_all_one,
@@ -261,6 +261,7 @@ def stage_count_formula(
     depth-e type; chain_one(i) reports whether the all-one word lies in
     the i-th chain member (False for i <= 0).
     """
+    _check_length(n)
     e = spec.e
     if len(lambdas) != e:
         raise ValueError("type tuple must have one entry per depth")

@@ -22,11 +22,11 @@ from . import fieldcodes
 from .chain import ChainRingSpec
 from .enumeration import _check_length
 from .fieldcodes import (
-    bilinear_form,
     codewords,
     contains_all_one,
     elementary_symmetric_2,
     enumerate_subspaces,
+    vec_dot,
 )
 from .galois import make_galois_ring
 from .ringcodes import (
@@ -314,7 +314,7 @@ def brute_force_doubly_even_count(n: int, d: int, m: int, with_one: bool) -> int
     count = 0
     for code in enumerate_subspaces(gr, n, d):
         ok = all(
-            bilinear_form(gr, w, w) == 0 and elementary_symmetric_2(gr, w) == 0
+            vec_dot(gr, w, w) == 0 and elementary_symmetric_2(gr, w) == 0
             for w in codewords(code)
         )
         if ok and contains_all_one(code) == with_one:

@@ -24,43 +24,15 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .chain import (
     CRElem,
     ChainRingSpec,
-    cr_add,
     cr_inv,
-    cr_mul,
-    cr_neg,
-    cr_sub,
-    cr_u_pow,
-    cr_zero,
-    from_u_adic,
     lane_masks,
     level_mask,
-    pi0,
     truncate_elem,
     u_valuation,
 )
 from .fieldcodes import FieldCode, make_field_code, zero_code
 
 RVec = Tuple[CRElem, ...]
-
-
-# ---------------------------------------------------------------------------
-# vector helpers
-# ---------------------------------------------------------------------------
-
-
-def rv_scale(spec: ChainRingSpec, c: CRElem, v: RVec) -> RVec:
-    mul = spec.ops.mul
-    return tuple(mul(c, x) for x in v)
-
-
-def rv_truncate(spec: ChainRingSpec, v: RVec, level: int) -> RVec:
-    keep = truncate_elem(spec, -1, level)  # the digits below level, all set
-    return tuple(x & keep for x in v)
-
-
-def rv_residue(spec: ChainRingSpec, v: RVec) -> Tuple[int, ...]:
-    """Residue-field image of a vector, entrywise (field bitmasks)."""
-    return tuple(pi0(spec, x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +267,9 @@ def standard_form(
     """
     if not 1 <= level <= spec.e:
         raise ValueError("level out of range")
-    work: List[List[CRElem]] = [
-        [truncate_elem(spec, x, level) for x in g] for g in generators
-    ]
+    ops, m = spec.ops, spec.m
+    keep = truncate_elem(spec, -1, level)  # the digits below level, all set
+    work: List[List[CRElem]] = [[x & keep for x in g] for g in generators]
     for g in work:
         if len(g) != n:
             raise ValueError("generator length mismatch")
@@ -324,38 +296,28 @@ def standard_form(
             ri, c = found
             row = work[ri]
             # normalize: row[c] = u^v * unit, divide the row by the unit
-            inv = cr_inv(spec, row[c] >> (spec.m * v))
-            work[ri] = [
-                truncate_elem(spec, cr_mul(spec, inv, x), level) for x in row
-            ]
-            row = work[ri]
+            inv = cr_inv(spec, row[c] >> (m * v))
+            row = work[ri] = [ops.mul(inv, x) & keep for x in row]
             # clear digits >= v of column c in every other row
             for rj, other in enumerate(work):
-                if rj == ri:
+                top = other[c] >> (m * v)  # digits >= v, shifted down
+                if rj == ri or not top:
                     continue
-                q = other[c] >> (spec.m * v)  # digits >= v, shifted down
-                if q == cr_zero(spec):
-                    continue
-                work[rj] = [
-                    truncate_elem(spec, cr_sub(spec, y, cr_mul(spec, q, x)), level)
-                    for y, x in zip(other, row)
-                ]
+                minus = ops.neg(top)
+                work[rj] = [ops.add(y, ops.mul(minus, x)) & keep for y, x in zip(other, row)]
             placed.append((v, c, ri))
             used_cols.add(c)
             used_rows.add(ri)
     # leftover rows must be zero
-    zero = cr_zero(spec)
     for ri, row in enumerate(work):
-        if ri in used_rows:
-            continue
-        if any(x != zero for x in row):
+        if ri not in used_rows and any(row):
             raise RuntimeError("elimination left a nonzero row unplaced")
     placed.sort(key=lambda t: (t[0], t[1]))
     profile = [0] * level
     blocks: List[List[RVec]] = [[] for _ in range(level)]
     pivots: List[List[int]] = [[] for _ in range(level)]
     for v, c, ri in placed:
-        blocks[v].append(tuple(x >> (spec.m * v) for x in work[ri]))
+        blocks[v].append(tuple(x >> (m * v) for x in work[ri]))
         pivots[v].append(c)
         profile[v] += 1
     perm = [c for _, c, _ in placed] + [
@@ -381,28 +343,10 @@ def make_code(
 
 
 def scaled_generators(code: RingCode) -> List[RVec]:
-    """Generator rows with their u-power scales applied."""
-    spec = code.ring
-    out = []
-    for w, p in code.rows_with_powers():
-        out.append(rv_truncate(spec, rv_scale(spec, cr_u_pow(spec, p), w), code.level))
-    return out
-
-
-def canonical_key(code: RingCode):
-    """Level-granular canonical form, for equality across profile splits."""
-    _, coarse = standard_form(code.ring, code.level, code.n, scaled_generators(code))
-    return (coarse.level, coarse.n, coarse.profile, coarse.block_rows)
-
-
-def codes_equal(a: RingCode, b: RingCode) -> bool:
-    if (a.ring, a.level, a.n) != (b.ring, b.level, b.n):
-        return False
-    if a.profile == b.profile and a.gamma == b.gamma:
-        return (a.block_rows, a.pivots) == (b.block_rows, b.pivots) or (
-            canonical_key(a) == canonical_key(b)
-        )
-    return canonical_key(a) == canonical_key(b)
+    """Generator rows with their u-power scales applied: u^p w is w shifted
+    up p digits, cut at the level."""
+    m, keep = code.ring.m, truncate_elem(code.ring, -1, code.level)
+    return [tuple((x << (m * p)) & keep for x in w) for w, p in code.rows_with_powers()]
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +415,11 @@ def torsion_code(code: RingCode, i: int) -> FieldCode:
     if not 1 <= i <= code.level:
         raise ValueError("torsion index out of range")
     spec = code.ring
+    low = spec.q - 1  # x & low is the residue of x, its digit of u^0
     rows = []
     for h, block in enumerate(code.block_rows, start=1):
         if code.u_power(h) < i:
-            rows.extend(rv_residue(spec, w) for w in block)
+            rows.extend(tuple(x & low for x in w) for w in block)
     if not rows:
         return zero_code(spec.gr, code.n)
     return make_field_code(spec.gr, code.n, rows)
@@ -501,13 +446,8 @@ def truncate_code(code: RingCode, target_level: int) -> RingCode:
         raise ValueError("profile too coarse for this truncation")
     blocks: List[Tuple[RVec, ...]] = []
     for h in range(1, nblocks + 1):
-        p = max(0, h - new_gamma - 1)
-        prec = target_level - p
-        blocks.append(
-            tuple(
-                rv_truncate(spec, w, prec) for w in code.block_rows[h - 1]
-            )
-        )
+        keep = truncate_elem(spec, -1, target_level - max(0, h - new_gamma - 1))
+        blocks.append(tuple(tuple(x & keep for x in w) for w in code.block_rows[h - 1]))
     return RingCode(
         ring=spec,
         level=target_level,
@@ -571,29 +511,26 @@ def dual_code_ring(code: RingCode) -> RingCode:
     all_pivots = {c for cols in pivot_cols for c in cols}
     free_cols = [c for c in range(n) if c not in all_pivots]
 
+    ops, keep = spec.ops, truncate_elem(spec, -1, lev)
+
     def solve_upward(vec: List[CRElem], start_scale: int) -> RVec:
-        # fix pivot coordinates of blocks start_scale..0, deepest first
+        # fix pivot coordinates of blocks start_scale..0, deepest first:
+        # with vec[c] zeroed, w.vec is the sum over the other coordinates
         for v in range(start_scale, -1, -1):
             for w, c in zip(rows_by_scale[v], pivot_cols[v]):
-                acc = cr_zero(spec)
-                for d in range(n):
-                    if d == c:
-                        continue
-                    acc = cr_add(spec, acc, cr_mul(spec, w[d], vec[d]))
-                vec[c] = truncate_elem(spec, cr_neg(spec, acc), lev)
+                vec[c] = 0
+                vec[c] = ops.neg(ops.dot(w, vec)) & keep
         return tuple(vec)
 
     gens: List[RVec] = []
-    one = from_u_adic(spec, (1,))
     for c in free_cols:
-        vec = [cr_zero(spec)] * n
-        vec[c] = one
+        vec = [0] * n
+        vec[c] = 1
         gens.append(solve_upward(vec, lev - 1))
     for v in range(1, lev):
-        scale = from_u_adic(spec, (0,) * (lev - v) + (1,))
         for c in pivot_cols[v]:
-            vec = [cr_zero(spec)] * n
-            vec[c] = scale
+            vec = [0] * n
+            vec[c] = 1 << (spec.m * (lev - v))  # u^(lev-v)
             gens.append(solve_upward(vec, v - 1))
     return make_code(spec, lev, n, gens)
 

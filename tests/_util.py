@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 import chaincodes
-from chaincodes.chain import ChainRingSpec, cr_u_pow, from_u_adic, preset
+from chaincodes.chain import ChainRingSpec, from_u_adic, preset, truncate_elem
 from chaincodes.enumeration import _all_types
 from chaincodes.fieldcodes import (
     FieldCode,
@@ -28,8 +28,8 @@ from chaincodes.ringcodes import (
     RVec,
     is_self_orthogonal_ring,
     make_code,
-    rv_scale,
-    rv_truncate,
+    scaled_generators,
+    standard_form,
 )
 
 
@@ -101,15 +101,25 @@ def random_field_code(
     return make_field_code(gr, n, rows)
 
 
+def canonical_key(code: RingCode):
+    """Level-granular canonical form, for equality across profile splits:
+    the coarse standard form of the scaled generators, one standard form
+    per code and no codeword set."""
+    _, coarse = standard_form(code.ring, code.level, code.n, scaled_generators(code))
+    return (coarse.level, coarse.n, coarse.profile, coarse.block_rows)
+
+
 def reference_codewords(code: RingCode) -> FrozenSet[RVec]:
     """Every codeword, by ring products and entrywise ring adds.
 
-    The slow arbiter of code_signature: each scaled row is multiplied by
-    every coefficient with its precision digits, the multiples of all rows
-    are added pairwise in R_e, and the sums are truncated to the level.
+    The slow arbiter of code_signature: each row is multiplied by its scale
+    u^p and by every coefficient with its precision digits, the multiples
+    of all rows are added pairwise in R_e, and the sums are truncated to
+    the level.
     """
     spec, level = code.ring, code.level
-    add = spec.ops.add
+    add, mul = spec.ops.add, spec.ops.mul
+    keep = truncate_elem(spec, -1, level)
     words: List[RVec] = [(0,) * code.n]
     for h, rows in enumerate(code.block_rows, start=1):
         if not rows:
@@ -117,11 +127,12 @@ def reference_codewords(code: RingCode) -> FrozenSet[RVec]:
         coeffs = [0]
         for shift in range(0, spec.m * code.precision(h), spec.m):
             coeffs = [r | d << shift for r in coeffs for d in range(spec.q)]
+        u_p = 1 << (spec.m * code.u_power(h))  # u^p, with p < level <= e
         for w in rows:
-            scaled = rv_scale(spec, cr_u_pow(spec, code.u_power(h)), w)
-            multiples = [rv_truncate(spec, rv_scale(spec, r, scaled), level) for r in coeffs]
+            scaled = [mul(u_p, x) for x in w]
+            multiples = [tuple(mul(r, x) & keep for x in scaled) for r in coeffs]
             words = [tuple(map(add, acc, mult)) for acc in words for mult in multiples]
-    return frozenset(rv_truncate(spec, wd, level) for wd in words)
+    return frozenset(tuple(x & keep for x in wd) for wd in words)
 
 
 def run_child(*args: str) -> subprocess.CompletedProcess:

@@ -5,16 +5,9 @@ import random
 import pytest
 
 from chaincodes.chain import (
-    cr_add,
     cr_from_int,
     cr_inv,
-    cr_is_unit,
-    cr_mul,
-    cr_neg,
     cr_pow,
-    cr_sub,
-    cr_u_pow,
-    cr_zero,
     format_ring_spec,
     from_u_adic,
     lane_masks,
@@ -81,7 +74,7 @@ def test_make_ring_validation():
 def test_two_splits_as_u_cube_times_unit():
     # the defining identity of the R8,2 preset: u^3 + u^6 = 2
     spec = preset("R8,2")
-    lhs = cr_add(spec, cr_u_pow(spec, 3), cr_u_pow(spec, 6))
+    lhs = spec.ops.add(1 << (3 * spec.m), 1 << (6 * spec.m))
     assert lhs == cr_from_int(spec, 2)
     assert to_u_adic(spec, cr_from_int(spec, 2)) == (0, 0, 0, 1, 0, 0, 1, 0)
 
@@ -100,8 +93,8 @@ def test_two_unit_digits_identity(name):
     digits = to_u_adic(spec, two)[spec.kappa:]
     assert digits[0] != 0
     eta = from_u_adic(spec, digits)
-    assert cr_is_unit(spec, eta)
-    assert cr_mul(spec, cr_u_pow(spec, spec.kappa), eta) == two
+    assert pi0(spec, eta) != 0  # a unit
+    assert spec.ops.mul(1 << (spec.m * spec.kappa), eta) == two
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_PARAMS))
@@ -109,23 +102,22 @@ def test_ring_axioms_on_random_elements(name):
     spec = preset(name)
     rng = random.Random(hash(name) & 0xFFFF)
     q, e = spec.q, spec.e
+    add, neg, mul = spec.ops.add, spec.ops.neg, spec.ops.mul
 
     def rand():
         return from_u_adic(spec, tuple(rng.randrange(q) for _ in range(e)))
 
     for _ in range(150):
         a, b, c = rand(), rand(), rand()
-        assert cr_add(spec, a, b) == cr_add(spec, b, a)
-        assert cr_mul(spec, a, b) == cr_mul(spec, b, a)
-        assert cr_add(spec, cr_add(spec, a, b), c) == cr_add(spec, a, cr_add(spec, b, c))
-        assert cr_mul(spec, cr_mul(spec, a, b), c) == cr_mul(spec, a, cr_mul(spec, b, c))
-        assert cr_mul(spec, a, cr_add(spec, b, c)) == cr_add(
-            spec, cr_mul(spec, a, b), cr_mul(spec, a, c)
-        )
-        assert cr_add(spec, a, cr_zero(spec)) == a
-        assert cr_mul(spec, a, 1) == a
-        assert cr_add(spec, a, cr_neg(spec, a)) == cr_zero(spec)
-        assert cr_sub(spec, a, b) == cr_add(spec, a, cr_neg(spec, b))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, 0) == a
+        assert mul(a, 1) == a
+        assert add(a, neg(a)) == 0
+        assert neg(neg(a)) == a
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_PARAMS))
@@ -138,29 +130,28 @@ def test_u_adic_round_trip(name):
         a = from_u_adic(spec, digits)
         assert a == sum(d << (spec.m * i) for i, d in enumerate(digits))
         assert to_u_adic(spec, a) == digits
-    assert to_u_adic(spec, cr_zero(spec)) == (0,) * spec.e
+    assert to_u_adic(spec, 0) == (0,) * spec.e
     assert to_u_adic(spec, 1) == (1,) + (0,) * (spec.e - 1)
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_PARAMS))
 def test_u_powers_and_valuation(name):
     spec = preset(name)
-    for i in range(spec.e + 1):
-        p = cr_u_pow(spec, i)
-        if i == spec.e:
-            assert p == cr_zero(spec)
-        else:
-            assert u_valuation(spec, p) == i
-            digits = to_u_adic(spec, p)
-            assert digits[i] == 1 and sum(digits) == 1
-    # u^e vanishes and the valuation of zero is e by convention
-    assert u_valuation(spec, cr_zero(spec)) == spec.e
-    # repeated multiplication agrees with the table
+    # u^i is digit 1 at position i: the digit index 1 << m*i
+    for i in range(spec.e):
+        p = 1 << (spec.m * i)
+        assert u_valuation(spec, p) == i
+        digits = to_u_adic(spec, p)
+        assert digits[i] == 1 and sum(digits) == 1
+    # the valuation of zero is e by convention
+    assert u_valuation(spec, 0) == spec.e
+    # repeated multiplication by u is a shift by m bits, and u^e vanishes
+    u = 1 << spec.m
     acc = 1
     for i in range(spec.e):
-        assert acc == cr_u_pow(spec, i)
-        acc = cr_mul(spec, acc, cr_u_pow(spec, 1))
-    assert acc == cr_zero(spec)
+        assert acc == 1 << (spec.m * i)
+        acc = spec.ops.mul(acc, u)
+    assert acc == 0
 
 
 def test_units_and_inverses():
@@ -170,11 +161,11 @@ def test_units_and_inverses():
         digits = tuple(rng.randrange(spec.q) for _ in range(spec.e))
         a = from_u_adic(spec, digits)
         if digits[0] == 0:
-            assert not cr_is_unit(spec, a)
+            with pytest.raises(ValueError, match="not a unit"):
+                cr_inv(spec, a)
         else:
-            assert cr_is_unit(spec, a)
-            assert cr_mul(spec, a, cr_inv(spec, a)) == 1
-    assert cr_pow(spec, cr_u_pow(spec, 1), spec.e) == cr_zero(spec)
+            assert spec.ops.mul(a, cr_inv(spec, a)) == 1
+    assert cr_pow(spec, 1 << spec.m, spec.e) == 0
 
 
 def test_teichmuller_digits_multiply():
@@ -184,7 +175,7 @@ def test_teichmuller_digits_multiply():
         tc = from_u_adic(spec, (c,))
         assert pi0(spec, tc) == c
         for d in range(spec.q):
-            lhs = cr_mul(spec, tc, from_u_adic(spec, (d,)))
+            lhs = spec.ops.mul(tc, from_u_adic(spec, (d,)))
             assert lhs == from_u_adic(spec, (field_mul(spec.gr, c, d),))
 
 
@@ -208,9 +199,9 @@ def test_level_ops_match_truncated_full_ops():
         b = from_u_adic(spec, tuple(rng.randrange(spec.q) for _ in range(spec.e)))
         for level in (2, 4, 6):
             ta, tb = truncate_elem(spec, a, level), truncate_elem(spec, b, level)
-            for op in (cr_add, cr_mul):
-                assert truncate_elem(spec, op(spec, a, b), level) == truncate_elem(
-                    spec, op(spec, ta, tb), level
+            for op in (spec.ops.add, spec.ops.mul):
+                assert truncate_elem(spec, op(a, b), level) == truncate_elem(
+                    spec, op(ta, tb), level
                 )
 
 
@@ -284,9 +275,10 @@ def test_kernel_matches_reference_on_samples(label, samples):
         want = _ref_from_gr(spec, gr_from_int(spec.gr, c))
         assert _ref_from_int(spec, cr_from_int(spec, c)) == want
 
+    ops = spec.ops
     for c in range(spec.q):
         for d in range(spec.q):
-            lhs = cr_mul(spec, from_u_adic(spec, (c,)), from_u_adic(spec, (d,)))
+            lhs = ops.mul(from_u_adic(spec, (c,)), from_u_adic(spec, (d,)))
             assert lhs == from_u_adic(spec, (field_mul(spec.gr, c, d),))
 
     def ref(op, *args):
@@ -296,22 +288,19 @@ def test_kernel_matches_reference_on_samples(label, samples):
 
     for _ in range(samples):
         a, b, c = (rng.randrange(size) for _ in range(3))
-        assert _ref_from_int(spec, cr_add(spec, a, b)) == ref(_ref_add, a, b)
-        assert _ref_from_int(spec, cr_mul(spec, a, b)) == ref(_ref_mul, a, b)
-        assert _ref_from_int(spec, cr_neg(spec, a)) == ref(_ref_neg, a)
-        assert cr_mul(spec, a, cr_add(spec, b, c)) == cr_add(
-            spec, cr_mul(spec, a, b), cr_mul(spec, a, c)
-        )
-        if cr_is_unit(spec, a):
-            assert cr_mul(spec, a, cr_inv(spec, a)) == 1
+        assert _ref_from_int(spec, ops.add(a, b)) == ref(_ref_add, a, b)
+        assert _ref_from_int(spec, ops.mul(a, b)) == ref(_ref_mul, a, b)
+        assert _ref_from_int(spec, ops.neg(a)) == ref(_ref_neg, a)
+        assert ops.mul(a, ops.add(b, c)) == ops.add(ops.mul(a, b), ops.mul(a, c))
+        if pi0(spec, a):
+            assert ops.mul(a, cr_inv(spec, a)) == 1
         xs = [rng.randrange(size) for _ in range(3)]
         ys = [rng.randrange(size) for _ in range(3)]
         want = 0
         for x, y in zip(xs, ys):
-            want = cr_add(spec, want, cr_mul(spec, x, y))
-        assert spec.ops.dot(xs, ys) == want
+            want = ops.add(want, ops.mul(x, y))
+        assert ops.dot(xs, ys) == want
         # packed coordinates: round trip, lane-wise add, digitwise scale
-        ops = spec.ops
         assert ops.coords(a) == _pack_ref(spec, _ref_from_int(spec, a))
         assert ops.digits(ops.coords(a)) == a
         low, high = lane_masks(spec, 3)
@@ -320,7 +309,7 @@ def test_kernel_matches_reference_on_samples(label, samples):
         lanes = [ops.digits((total >> (width * i)) & ((1 << width) - 1)) for i in range(3)]
         assert lanes == [ops.add(x, y) for x, y in zip(xs, ys)]
         d = rng.randrange(spec.q)
-        assert ops.scale[d](a) == cr_mul(spec, d, a)
+        assert ops.scale[d](a) == ops.mul(d, a)
         level = rng.randrange(spec.e + 1)
         mask, cut = level_mask(spec, level), truncate_elem(spec, a, level)
         assert ops.coords(a) & mask == ops.coords(cut) & mask
@@ -348,4 +337,4 @@ def test_from_u_adic_rejects_digits_outside_the_field():
             from_u_adic(spec, digits)
     # digits at positions >= e vanish, since u^e = 0
     assert from_u_adic(r41, (1, 0, 0, 0, 1)) == from_u_adic(r41, (1,))
-    assert from_u_adic(r62, (0,) * 6 + (3,)) == cr_zero(r62)
+    assert from_u_adic(r62, (0,) * 6 + (3,)) == 0

@@ -221,7 +221,23 @@ def test_lift_malformed_member_row_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("changes", [{"members": 5}, {"members": [5]}, {"preset": 5}, {"ring": 7}])
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"members": 5},
+        {"members": [5]},
+        {"preset": 5},
+        {"ring": 7},
+        # n and type get the checks count gives --n and --type
+        {"n": 3.5},
+        {"n": "3"},
+        {"n": True},
+        {"n": -1},
+        {"type": [0, 1, 1, -1]},
+        {"type": [0, 1, 1, "1"]},
+        {"type": [0, 1, 1, 1.0]},
+    ],
+)
 def test_lift_malformed_shapes_exit_two(capsys, tmp_path, changes):
     doc_in = dict(CHAIN_0111, **changes)
     if "ring" in changes:
@@ -231,6 +247,8 @@ def test_lift_malformed_shapes_exit_two(capsys, tmp_path, changes):
     rc, out, err = run(capsys, "lift", "--chain", str(path))
     assert (rc, out) == (2, "")
     assert err.startswith("error:")
+    field = {"n": "code length", "type": "'type'"}.get(next(iter(changes)), "")
+    assert field in err
 
 
 def lift_in_child(tmp_path, entry):
@@ -240,7 +258,7 @@ def lift_in_child(tmp_path, entry):
     return run_child("-m", "chaincodes.cli", "lift", "--chain", str(path))
 
 
-@pytest.mark.parametrize("entry", ["ξ^-1", "x^-1", "ξ^+1", "x^1_0", "ξ^abc"])
+@pytest.mark.parametrize("entry", ["ξ^-1", "x^-1", "ξ^+1", "x^1_0", "ξ^abc", "²"])
 def test_lift_rejects_bad_exponents(tmp_path, entry):
     proc = lift_in_child(tmp_path, entry)
     assert (proc.returncode, proc.stdout) == (2, "")

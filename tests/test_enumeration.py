@@ -36,8 +36,10 @@ from chaincodes.fieldcodes import (
     sigma_doubly_even,
 )
 from chaincodes.oracle import brute_force_code_count
-from chaincodes.ringcodes import canonical_key, is_self_orthogonal_ring
+from chaincodes.ringcodes import is_self_orthogonal_ring
 from chaincodes.tables import GOLDEN_TABLES
+
+from _util import canonical_key
 
 
 def test_gaussian_binomial_pins():

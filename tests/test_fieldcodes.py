@@ -7,7 +7,6 @@ import pytest
 from chaincodes.enumeration import gaussian_binomial
 from chaincodes.fieldcodes import (
     all_one,
-    bilinear_form,
     codewords,
     contains,
     contains_all_one,
@@ -19,6 +18,7 @@ from chaincodes.fieldcodes import (
     make_field_code,
     placed_subspaces,
     sigma_doubly_even,
+    vec_add,
     vec_dot,
     zero_code,
 )
@@ -79,14 +79,14 @@ def test_self_orthogonal_matches_dual_containment():
 
 
 def test_bilinear_form_is_symmetric_and_additive_in_squares():
-    # the form evaluates coordinatewise products through the trace-like map
+    # the chain-ring pairing on the residue field is the coordinatewise dot product
     rng = random.Random(15)
     for gr in _grs():
         n = 4
         for _ in range(50):
-            a = tuple(rng.randrange(gr.q) for _ in range(n))
-            b = tuple(rng.randrange(gr.q) for _ in range(n))
-            assert bilinear_form(gr, a, b) == bilinear_form(gr, b, a)
+            a, b, c = (tuple(rng.randrange(gr.q) for _ in range(n)) for _ in range(3))
+            assert vec_dot(gr, a, b) == vec_dot(gr, b, a)
+            assert vec_dot(gr, vec_add(a, c), b) == vec_dot(gr, a, b) ^ vec_dot(gr, c, b)
 
 
 def test_elementary_symmetric_2_small_cases():
@@ -117,7 +117,7 @@ def test_doubly_even_basis_criterion_vs_every_codeword():
             n = rng.randint(1, 5)
             code = random_field_code(rng, gr, n, 3)
             slow = all(
-                bilinear_form(gr, w, w) == 0 and elementary_symmetric_2(gr, w) == 0
+                vec_dot(gr, w, w) == 0 and elementary_symmetric_2(gr, w) == 0
                 for w in codewords(code)
             )
             assert is_doubly_even(code) == slow

@@ -124,6 +124,14 @@ def test_base_and_top_counts_for_small_type():
         assert lifts[0].level_type == lam
 
 
+def test_stage_count_formula_refuses_negative_lengths():
+    # q to a negative power made the count the float 0.0; counts are ints
+    r41 = preset("R4,1")
+    for level, _ in stage_plan(r41):
+        with pytest.raises(ValueError, match="code length must be nonnegative"):
+            stage_count_formula(r41, -1, (0, 1, 1, 1), lambda i: False, level)
+
+
 def test_extract_chain_returns_torsion_members():
     r41 = preset("R4,1")
     z3 = zero_code(r41.gr, 3)

@@ -7,8 +7,6 @@ import pytest
 
 from chaincodes.chain import (
     PRESET_NAMES,
-    cr_add,
-    cr_mul,
     from_u_adic,
     level_mask,
     make_ring,
@@ -20,7 +18,6 @@ from chaincodes.chain import (
 from chaincodes.fieldcodes import is_subcode
 from chaincodes.ringcodes import (
     code_signature,
-    codes_equal,
     dual_code_ring,
     enumerate_codewords,
     is_self_dual_ring,
@@ -33,14 +30,25 @@ from chaincodes.ringcodes import (
     truncate_code,
 )
 
-from _util import random_code, reference_codewords, so_pool
+from _util import canonical_key, random_code, reference_codewords, so_pool
 
 
-def _random_codes(seed, counts=((("R4,1", 3), 60), (("R6,2", 2), 40), (("R8,2", 2), 30))):
+# 2^18 elements: over _TABLE_MAX, so its kernel computes each look-up
+COMPUTED_RING = "CR(2^3,2;3,3;1)"
+COMPUTED = (((COMPUTED_RING, 2), 10), ((COMPUTED_RING, 3), 10))
+
+
+def _ring(label):
+    return preset(label) if label in PRESET_NAMES else parse_ring_spec(label)
+
+
+def _random_codes(
+    seed, counts=((("R4,1", 3), 60), (("R6,2", 2), 40), (("R8,2", 2), 30)) + COMPUTED
+):
     rng = random.Random(seed)
     out = []
-    for (name, n), reps in counts:
-        spec = preset(name)
+    for (label, n), reps in counts:
+        spec = _ring(label)
         for _ in range(reps):
             out.append(random_code(rng, spec, n))
     return out
@@ -66,28 +74,27 @@ def test_make_code_is_canonical():
     for code in _random_codes(22):
         spec = code.ring
         again = make_code(spec, code.level, code.n, scaled_generators(code))
-        assert codes_equal(code, again)
+        assert again == code
         if code.size() <= 4096:
             assert code_signature(code) == code_signature(again)
 
 
 def test_row_scrambles_preserve_the_code():
     rng = random.Random(23)
-    spec = preset("R4,1")
-    for _ in range(60):
-        code = random_code(rng, spec, 3)
-        gens = scaled_generators(code)
-        if len(gens) < 2:
-            continue
-        # add a random multiple of another generator to the first one
-        c = from_u_adic(spec, tuple(rng.randrange(spec.q) for _ in range(spec.e)))
-        other = rng.randrange(1, len(gens))
-        bumped = tuple(
-            cr_add(spec, a, cr_mul(spec, c, gens[other][i]))
-            for i, a in enumerate(gens[0])
-        )
-        scrambled = [bumped] + list(gens[1:])
-        assert codes_equal(code, make_code(spec, code.level, code.n, scrambled))
+    for (label, n), reps in (((("R4,1", 3), 60),) + COMPUTED):
+        spec = _ring(label)
+        ops = spec.ops
+        for _ in range(reps):
+            code = random_code(rng, spec, n)
+            gens = scaled_generators(code)
+            if len(gens) < 2:
+                continue
+            # add a random multiple of another generator to the first one
+            c = from_u_adic(spec, tuple(rng.randrange(spec.q) for _ in range(spec.e)))
+            other = rng.randrange(1, len(gens))
+            bumped = tuple(ops.add(a, ops.mul(c, b)) for a, b in zip(gens[0], gens[other]))
+            scrambled = make_code(spec, code.level, n, [bumped] + list(gens[1:]))
+            assert canonical_key(scrambled) == canonical_key(code)
 
 
 def test_size_matches_codeword_count():
@@ -110,7 +117,7 @@ def test_signature_decodes_to_the_reference_codewords(label):
     if label == "m=3":
         spec, n = make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)), 2
     else:
-        spec = preset(label) if label in PRESET_NAMES else parse_ring_spec(label)
+        spec = _ring(label)
         n = 3 if spec.q == 2 else 2
     most = 4096
     rng = random.Random(label)
@@ -202,11 +209,11 @@ def test_dual_type_formula_and_involution():
         for a in scaled_generators(code):
             for b in scaled_generators(dual):
                 assert u_valuation(spec, spec.ops.dot(a, b)) >= spec.e
-        assert codes_equal(dual_code_ring(dual), code)
+        assert canonical_key(dual_code_ring(dual)) == canonical_key(code)
 
 
 def test_self_orthogonal_iff_contained_in_dual():
-    for code in _random_codes(28, counts=((("R4,1", 3), 80), (("R6,2", 2), 40))):
+    for code in _random_codes(28, counts=((("R4,1", 3), 80), (("R6,2", 2), 40)) + COMPUTED):
         spec = code.ring
         dual = dual_code_ring(code)
         # containment without codeword enumeration: adding the generators
@@ -217,8 +224,8 @@ def test_self_orthogonal_iff_contained_in_dual():
             code.n,
             list(scaled_generators(code)) + list(scaled_generators(dual)),
         )
-        assert is_self_orthogonal_ring(code) == codes_equal(joined, dual)
-        assert is_self_dual_ring(code) == codes_equal(code, dual)
+        assert is_self_orthogonal_ring(code) == (canonical_key(joined) == canonical_key(dual))
+        assert is_self_dual_ring(code) == (canonical_key(code) == canonical_key(dual))
 
 
 def test_self_orthogonal_matches_codeword_dots():
