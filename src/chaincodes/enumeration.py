@@ -431,8 +431,11 @@ def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
     def upper(i: int) -> int:
         # sum over lambda_i..lambda_e of the factors of positions i..e; the
         # lift binomial [lambda_i + n - cum(i) - cum(e+1-i), lambda_i]_q is
-        # [room, x]_q, stepped along x by the q-Pascal ratio
+        # [room, x]_q, stepped along x by the q-Pascal ratio.  Within one
+        # head it depends only on (i, cum(i-1)).
         before = sums[i - 1]
+        if (i, before) in memo:
+            return memo[i, before]
         room = _room(e, n, cum, i)
         binom, out = 1, 0
         for x in range(room + 1):
@@ -442,6 +445,7 @@ def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
             exp = _sd_exponent(spec, n, cum) if i == s + 1 else before * (room - x)
             out += binom * q**exp * (upper(i + 1) if i < e else 1)
             binom = binom * (q ** (room - x) - 1) // (q ** (x + 1) - 1)
+        memo[i, before] = out
         return out
 
     def heads(i: int) -> Iterator[None]:
@@ -457,6 +461,7 @@ def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
     for _ in heads(1):
         if _room(e, n, cum, h + 1) < 0:
             continue
+        memo = {}  # upper(i) by (i, cum(i-1)), for this head
         bt = _b_theta(spec, n, lam, cum)
         if not bt:
             continue

@@ -79,6 +79,8 @@ class OracleBudget:
 
 def default_budget() -> OracleBudget:
     raw = os.environ.get("CHAINCODES_BUDGET")
+    if raw and not raw.strip().isdecimal():
+        raise ValueError(f"CHAINCODES_BUDGET must be a nonnegative integer, got {raw!r}")
     return OracleBudget.lifted(int(raw)) if raw else OracleBudget()
 
 

@@ -10,8 +10,6 @@ from chaincodes.chain import (
     cr_pow,
     format_ring_spec,
     from_u_adic,
-    lane_masks,
-    level_mask,
     make_ring,
     parse_ring_spec,
     pi0,
@@ -250,8 +248,9 @@ def test_kernel_matches_reference_on_every_pair(label):
             assert refs[ops.add(a, b)] == _ref_add(spec, refs[a], refs[b])
             assert refs[ops.mul(a, b)] == _ref_mul(spec, refs[a], refs[b])
     # the coordinate mask of a level: one representative per coset of <u^level>
+    assert len(ops.level_masks) == spec.e + 1
     for level in range(spec.e + 1):
-        mask = level_mask(spec, level)
+        mask = ops.level_masks[level]
         assert bin(mask).count("1") == spec.m * level
         for a in range(size):
             cut = truncate_elem(spec, a, level)
@@ -303,7 +302,9 @@ def test_kernel_matches_reference_on_samples(label, samples):
         # packed coordinates: round trip, lane-wise add, digitwise scale
         assert ops.coords(a) == _pack_ref(spec, _ref_from_int(spec, a))
         assert ops.digits(ops.coords(a)) == a
-        low, high = lane_masks(spec, 3)
+        rep = ((1 << (width * 3)) - 1) // ((1 << width) - 1)  # 1 at the bottom of each lane
+        high = ops.high * rep
+        low = ((1 << (width * 3)) - 1) ^ high
         packed = [sum(ops.coords(x) << (width * i) for i, x in enumerate(v)) for v in (xs, ys)]
         total = ((packed[0] & low) + (packed[1] & low)) ^ ((packed[0] ^ packed[1]) & high)
         lanes = [ops.digits((total >> (width * i)) & ((1 << width) - 1)) for i in range(3)]
@@ -311,7 +312,7 @@ def test_kernel_matches_reference_on_samples(label, samples):
         d = rng.randrange(spec.q)
         assert ops.scale[d](a) == ops.mul(d, a)
         level = rng.randrange(spec.e + 1)
-        mask, cut = level_mask(spec, level), truncate_elem(spec, a, level)
+        mask, cut = ops.level_masks[level], truncate_elem(spec, a, level)
         assert ops.coords(a) & mask == ops.coords(cut) & mask
         assert truncate_elem(spec, ops.digits(ops.coords(a) & mask), level) == cut
 

@@ -368,6 +368,32 @@ def test_budget_refusal_exits_two(capsys):
     assert "budget:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("oracle-compare", "--preset", "R4,1", "--n", "2", "--budget", "-5"), "--budget"),
+        (("count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1", "--oracle",
+          "--budget", "-1"), "--budget"),
+        (("verify", "--table", "1", "--max-oracle", "-1"), "--max-oracle"),
+        (("oracle-compare", "--preset", "R4,1", "--n", "2", "--sample", "-1"), "--sample"),
+    ],
+)
+def test_negative_ceilings_and_samples_exit_two(capsys, argv, name):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("raw", ["-5", "abc", "1.5", "²"])
+def test_malformed_budget_variable_exits_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CHAINCODES_BUDGET", raw)
+    rc, out, err = run(
+        capsys, "count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1", "--oracle"
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: CHAINCODES_BUDGET ")
+
+
 def test_budget_override_admits_longer_lengths(capsys):
     rc, doc, _ = run_json(
         capsys,

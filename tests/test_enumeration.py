@@ -6,6 +6,7 @@ import random
 import pytest
 
 from chaincodes.chain import PRESET_NAMES, make_ring, parse_ring_spec, preset
+from chaincodes.galois import make_galois_ring
 from chaincodes.enumeration import (
     _all_types,
     _b_zero,
@@ -30,7 +31,6 @@ from chaincodes.lifting import (
     validate_chain,
 )
 from chaincodes.fieldcodes import (
-    _field_spec,
     enumerate_subspaces,
     is_self_orthogonal_field,
     sigma_doubly_even,
@@ -303,7 +303,7 @@ def test_anchor_zero_family_counts_self_orthogonal_field_codes(name, n, top):
     closed = _without_one(spec, n, lam, _cum(lam))
     assert closed == sum(
         1
-        for code in enumerate_subspaces(_field_spec(spec.m), n, top)
+        for code in enumerate_subspaces(make_galois_ring(2, spec.m), n, top)
         if is_self_orthogonal_field(code)
     )
 

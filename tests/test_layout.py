@@ -5,11 +5,16 @@ lists, is dead code or a test-only tool; such helpers are deleted (or
 moved to tests/_util.py) rather than kept in src/.  The allowlist names
 the few that stay for another reason.  References are matched by name, so
 a local variable or attribute of the same name also counts as a use.
+
+Cache guard: every lru_cache of the package names an integer maxsize, and
+functools.cache is not used, so no cache grows without bound.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import chaincodes
 
@@ -73,3 +78,46 @@ def test_every_top_level_definition_is_used_in_the_package():
 def test_the_allowlist_holds_only_unused_definitions():
     # an allowed name that gains a caller in src/ no longer needs its entry
     assert sorted(set(ALLOWED) - set(unused_definitions())) == []
+
+
+def unbounded_caches(tree):
+    """Line numbers of each lru_cache without an integer maxsize and of
+    each functools.cache in a parsed module."""
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                bounded.add(id(node.func))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            out += [node.lineno] if getattr(node.value, "id", None) == "functools" else []
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            out += [] if id(node) in bounded else [node.lineno]
+    return sorted(out)
+
+
+def test_every_cache_has_an_integer_bound():
+    # a long-lived process must not grow without bound through a cache
+    found = {name: unbounded_caches(tree) for name, tree in _modules().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from functools import lru_cache\n@lru_cache(maxsize=16)\ndef f(): pass", []),
+        ("import functools\n@functools.lru_cache(8)\ndef f(): pass", []),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache\ndef f(): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache()\ndef f(): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache(maxsize=True)\ndef f(): pass", [2]),
+        ("import functools\n@functools.cache\ndef f(): pass", [2]),
+        ("from functools import cache\n@cache\ndef f(): pass", [1]),
+    ],
+)
+def test_the_cache_guard_flags_unbounded_caches(source, lines):
+    assert unbounded_caches(ast.parse(source)) == lines

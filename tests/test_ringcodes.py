@@ -8,7 +8,6 @@ import pytest
 from chaincodes.chain import (
     PRESET_NAMES,
     from_u_adic,
-    level_mask,
     make_ring,
     parse_ring_spec,
     preset,
@@ -139,7 +138,7 @@ def test_signature_decodes_to_the_reference_codewords(label):
             assert len(code_signature(trunc)) == len(want)
             assert set(enumerate_codewords(trunc)) == want
             # one word per codeword, whatever the generators: its masked coordinates
-            mask = level_mask(spec, level)
+            mask = spec.ops.level_masks[level]
             assert code_signature(trunc) == {
                 sum((spec.ops.coords(x) & mask) << (width * i) for i, x in enumerate(v))
                 for v in want
