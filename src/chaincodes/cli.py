@@ -59,6 +59,7 @@ from .tables import GOLDEN_TABLES, CountReport, compare_count, reproduce_table
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+_json_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 def _ring_from_args(args: argparse.Namespace) -> ChainRingSpec:
     if getattr(args, "preset", None):
@@ -103,8 +104,20 @@ def _type_str(lambdas: Sequence[int]) -> str:
 
 
 def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, ensure_ascii=False, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(payload) + "\n")
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """json.dumps(value, ensure_ascii=False, indent=2), byte for byte, for str or int keys.
+    The library's indenting encoder leaves a reference cycle on every call, and
+    that garbage made the cyclic collector's full passes land inside queries."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return _json_scalar(value)
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        items = [f"{pad}{_json_text(str(k))}: {_json_text(v, depth + 1)}" for k, v in value.items()]
+        return "{" + ",".join(items) + pad[:-2] + "}"
+    return "[" + ",".join(pad + _json_text(v, depth + 1) for v in value) + pad[:-2] + "]"
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:

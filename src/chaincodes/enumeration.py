@@ -18,6 +18,7 @@ behind a pluggable hook.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterator, Sequence, Tuple
 
 from .chain import ChainRingSpec
@@ -92,16 +93,8 @@ def _check_type(spec: ChainRingSpec, lambdas: Sequence[int]) -> None:
 
 
 def _cum(lambdas: Sequence[int]) -> Callable[[int], int]:
-    sums = [0]
-    for x in lambdas:
-        sums.append(sums[-1] + x)
-
-    def cum(i: int) -> int:
-        if i <= 0:
-            return 0
-        return sums[i]
-
-    return cum
+    sums = [0, *itertools.accumulate(lambdas)]
+    return lambda i: sums[i] if i > 0 else 0
 
 
 def _break_crossable(n: int, m: int) -> bool:
@@ -395,19 +388,11 @@ def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
 
 
 def _all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """Every type of depth e with at most n pivots, in lexicographic order."""
+    """Every type of depth e with at most n pivots, in lexicographic order:
+    the gaps between e bars placed among n + e slots, bars in lexicographic order."""
     _check_length(n)
-    lam = [0] * e
-
-    def grow(i: int, left: int) -> Iterator[Tuple[int, ...]]:
-        if i == e:
-            yield tuple(lam)
-            return
-        for x in range(left + 1):
-            lam[i] = x
-            yield from grow(i + 1, left - x)
-
-    yield from grow(0, n)
+    for bars in itertools.combinations(range(n + e), e):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:

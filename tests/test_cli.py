@@ -1,5 +1,7 @@
 """Command-line surface: output shapes, exit codes, error paths."""
 
+import contextlib
+import gc
 import io
 import json
 
@@ -511,3 +513,45 @@ def test_reused_parser_answers_like_fresh_ones(capsys):
     assert reused == fresh
     assert [rc for rc, _, _ in reused] == [0, 2, 0, 0, 0]
     assert fresh[1][2].startswith("usage: chaincodes count")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"query": "CR(2^2,1;4,1;1) n=3", "closed_form": "12", "oracle": None, "match": None},
+        {"table": 1, "all_match": True, "rows": [{"type": [0, 1], "count": 3}, {"type": (), "x": {}}]},
+        [[1, [2.5, [float("nan"), -float("inf")]]], {"é\n\"": "ü\t"}, 10**40, False],
+        {1: "int key", "2": {3: [4]}},
+    ],
+)
+def test_json_text_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--preset", "R6,2", "--n", "3", "--type", "1,0,0,0,1,0"],
+        ["count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1", "--self-dual"],
+        ["ring-info", "--preset", "R8,2"],
+    ],
+)
+def test_queries_leave_no_cyclic_garbage(argv):
+    # a cycle per query makes the cyclic collector run every few dozen
+    # queries, and its full passes land inside queries (total_counts still
+    # leaves its recursive closures to the collector)
+    def query():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+
+    query()  # parser and caches
+    gc.collect()
+    gc.disable()
+    try:
+        query()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
