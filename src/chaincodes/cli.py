@@ -52,7 +52,7 @@ from .lifting import (
     stage_plan,
     validate_chain,
 )
-from .oracle import BudgetError, OracleBudget
+from .oracle import BudgetError, OracleBudget, default_budget
 from .ringcodes import RingCode
 from .tables import GOLDEN_TABLES, CountReport, compare_count, reproduce_table
 
@@ -95,8 +95,10 @@ def _compare(
     )
 
 
-def _budget_from_args(args: argparse.Namespace) -> Optional[OracleBudget]:
-    return None if args.budget is None else OracleBudget.lifted(args.budget)
+def _budget_from_args(args: argparse.Namespace) -> OracleBudget:
+    """--budget, else CHAINCODES_BUDGET, read before any work so a
+    malformed variable is refused even when no recount runs."""
+    return default_budget() if args.budget is None else OracleBudget.lifted(args.budget)
 
 
 def _type_str(lambdas: Sequence[int]) -> str:

@@ -1,19 +1,20 @@
 """Closed-form counting of self-orthogonal and self-dual codes by type.
 
-Everything here is exact integer arithmetic.  A per-type count is a power
-of q times the upper-half lift binomials times b_theta, the number of
+Everything here is exact integer arithmetic.  The self-dual count of a type
+is q^K times b_theta, where K is the head exponent and b_theta the number of
 admissible residue-field chains C^(1) <= ... <= C^(ceil(e/2)), each weighted
-by a lift multiplier.  The multiplier depends only on where the all-one
-word first enters the chain, so the chains are counted in two ways:
-_without_one counts those whose doubly even anchor member
+by a lift multiplier; both depend only on the head lambda_1..lambda_ceil(e/2).
+The self-orthogonal count multiplies in one upper-half factor per position
+i > ceil(e/2): [room_i, lambda_i]_q q^(cum(i-1) (room_i - lambda_i)), with
+room_i the cap of _room.  So total_counts weighs each head once and sums the
+upper-half factors over its completions.  The lift multiplier depends only
+on where the all-one word first enters the chain, so the chains are counted
+in two ways: _without_one counts those whose doubly even anchor member
 C^(e//2 - (kappa-1)//2) misses the word, and _with_one(entry, exact) is one
 product of Gaussian binomials over the members for those that hold it in
-member `entry` (and not in entry-1 when exact).  The chain count depends
-only on the head lambda_1..lambda_ceil(e/2) of a type, so total_counts
-evaluates it once per head and sums the upper-half lift factors over the
-head's completions.  The number of doubly even field codes of a given
-dimension has no closed form here and is supplied by an exhaustive counter
-behind a pluggable hook.
+member `entry` (and not in entry-1 when exact).  The number of doubly even
+field codes of a given dimension has no closed form here and is supplied by
+an exhaustive counter behind a pluggable hook.
 """
 
 from __future__ import annotations
@@ -322,58 +323,36 @@ def _b_theta(spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[
 # ---------------------------------------------------------------------------
 
 
-def _sd_exponent(spec: ChainRingSpec, n: int, cum: Callable[[int], int]) -> int:
-    """Exponent of q in the self-dual count; _lift_exponent adds the upper half."""
+def _head_exponent(spec: ChainRingSpec, n: int, cum: Callable[[int], int]) -> int:
+    """Exponent of q in the self-dual count, which only the head fixes.
+
+    A self-orthogonal count multiplies in cum(i-1) * (room_i - lambda_i)
+    more for each upper-half position i; at even e that term of position
+    e/2+1 is 0 on every self-dual-shaped type.
+    """
     e = spec.e
     s = e // 2
-    theta = e % 2
     kappa1 = (spec.kappa - 1) // 2
-    exp = sum(cum(i) * (n - cum(i + 1)) for i in range(1, s + 1))
+    exp = sum(cum(i) * (n - cum(i + 1)) for i in range(1, s))
     exp -= sum(cum(a) for a in range(1, s - kappa1))
-    if theta == 0:
-        exp -= cum(s) * (cum(s) - 1) // 2
-    return exp
-
-
-def _lift_exponent(spec: ChainRingSpec, n: int, cum: Callable[[int], int]) -> int:
-    e = spec.e
-    s = e // 2
-    theta = e % 2
-    return _sd_exponent(spec, n, cum) + sum(
-        cum(s + j) * (n - cum(s + j + 1) - cum(s + theta - j))
-        for j in range(1, s + theta)
-    )
-
-
-def _lift_binomials(
-    spec: ChainRingSpec, n: int, lambdas: Sequence[int], cum: Callable[[int], int]
-) -> int:
-    e = spec.e
-    s = e // 2
-    theta = e % 2
-    q = spec.q
-    out = 1
-    for lev in range(s + 1 + theta, e + 1):
-        out *= gaussian_binomial(
-            lambdas[lev - 1] + n - cum(lev) - cum(e + 1 - lev), lambdas[lev - 1], q
-        )
-    return out
-
-
-def _sd_count(spec: ChainRingSpec, n: int, cum: Callable[[int], int], bt: int) -> int:
-    """Self-dual count of a feasible, self-dual-shaped type whose b_theta is bt."""
-    return spec.q ** _sd_exponent(spec, n, cum) * bt
+    if e % 2:
+        return exp + cum(s) * (n - cum(s + 1))
+    return exp + cum(s) * (cum(s) + 1) // 2
 
 
 def count_so_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     """Number of self-orthogonal codes of the given type and length."""
     _check_length(n)
     _check_type(spec, lambdas)
+    e, q = spec.e, spec.q
     cum = _cum(lambdas)
-    if not _feasible(spec.e, n, cum):
+    if not _feasible(e, n, cum):
         return 0
-    bt = _b_theta(spec, n, lambdas, cum)
-    return spec.q ** _lift_exponent(spec, n, cum) * bt * _lift_binomials(spec, n, lambdas, cum)
+    out = _b_theta(spec, n, lambdas, cum) * q ** _head_exponent(spec, n, cum)
+    for i in range(e - e // 2 + 1, e + 1):
+        room, x = _room(e, n, cum, i), lambdas[i - 1]
+        out *= gaussian_binomial(room, x, q) * q ** (cum(i - 1) * (room - x))
+    return out
 
 
 def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
@@ -384,7 +363,7 @@ def count_sd_type(spec: ChainRingSpec, n: int, lambdas: Sequence[int]) -> int:
     cum = _cum(lambdas)
     if not (_sd_shape(e, n, lambdas, cum) and _feasible(e, n, cum)):
         return 0
-    return _sd_count(spec, n, cum, _b_theta(spec, n, lambdas, cum))
+    return _b_theta(spec, n, lambdas, cum) * spec.q ** _head_exponent(spec, n, cum)
 
 
 def _all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:
@@ -398,67 +377,45 @@ def _all_types(e: int, n: int) -> Iterator[Tuple[int, ...]]:
 def total_counts(spec: ChainRingSpec, n: int) -> Tuple[int, int]:
     """(total self-orthogonal, total self-dual) over all types of length n.
 
-    The types are walked as a tree.  b_theta depends only on the head
-    lambda_1..lambda_h, h = ceil(e/2), so it is evaluated once per head
-    with a feasible completion; the upper-half lift factors are multiplied
-    in as each position is chosen and summed over the completions.  A head
-    has at most one self-dual completion: its palindrome.
+    b_theta and the head exponent depend only on the head lambda_1..lambda_h,
+    h = ceil(e/2), so their product, the head's weight, is evaluated once per
+    head; the upper-half factors are summed over the head's completions.  A
+    head has at most one self-dual completion: its palindrome, whose count is
+    the weight itself.
     """
     _check_length(n)
     e, s, q = spec.e, spec.e // 2, spec.q
     h = e - s
-    lam = [0] * e
-    sums = [0] * (e + 1)
 
-    def cum(i: int) -> int:
-        return sums[i] if i > 0 else 0
-
-    def upper(i: int) -> int:
-        # sum over lambda_i..lambda_e of the factors of positions i..e; the
-        # lift binomial [lambda_i + n - cum(i) - cum(e+1-i), lambda_i]_q is
-        # [room, x]_q, stepped along x by the q-Pascal ratio.  Within one
-        # head it depends only on (i, cum(i-1)).
-        before = sums[i - 1]
-        if (i, before) in memo:
-            return memo[i, before]
-        room = _room(e, n, cum, i)
-        binom, out = 1, 0
-        for x in range(room + 1):
-            sums[i] = before + x
-            # the self-dual exponent is complete at s+1; above it each
-            # position adds cum(i-1) * (n - cum(i) - cum(e+1-i))
-            exp = _sd_exponent(spec, n, cum) if i == s + 1 else before * (room - x)
-            out += binom * q**exp * (upper(i + 1) if i < e else 1)
-            binom = binom * (q ** (room - x) - 1) // (q ** (x + 1) - 1)
-        memo[i, before] = out
-        return out
-
-    def heads(i: int) -> Iterator[None]:
-        if i > h:
-            yield
-            return
-        for x in range(_room(e, n, cum, i) + 1):
-            lam[i - 1] = x
-            sums[i] = sums[i - 1] + x
-            yield from heads(i + 1)
+    def upper(i: int, before: int) -> int:
+        # sum over lambda_i..lambda_e of the factors of positions i..e, with
+        # cum(i-1) = before; [room, x]_q is stepped along x by the q-Pascal
+        # ratio.  Within one head it depends only on (i, before).
+        if i > e:
+            return 1
+        if (i, before) not in memo:
+            room = n - before - cum(e + 1 - i)  # _room above the middle
+            binom, out = 1, 0
+            for x in range(room + 1):
+                out += binom * q ** (before * (room - x)) * upper(i + 1, before + x)
+                binom = binom * (q ** (room - x) - 1) // (q ** (x + 1) - 1)
+            memo[i, before] = out
+        return memo[i, before]
 
     total_so = total_sd = 0
-    for _ in heads(1):
-        if _room(e, n, cum, h + 1) < 0:
+    # a head with cum(h) > n // 2 has no feasible completion: _room caps
+    # cum(h) there at odd e and leaves lambda_(s+1) no room at even e
+    for head in _all_types(h, n // 2):
+        cum = _cum(head)
+        weight = _b_theta(spec, n, head, cum) * q ** _head_exponent(spec, n, cum)
+        if not weight:
             continue
-        memo = {}  # upper(i) by (i, cum(i-1)), for this head
-        bt = _b_theta(spec, n, lam, cum)
-        if not bt:
-            continue
-        head = lam[:h]
         # lambda_j = lambda_(e-j+2) for j >= 2; at even e the middle entry
         # lambda_(s+1) takes what lambda_1 = n - cum(e) leaves
-        pal = head + ([n - 2 * sums[s]] if h == s else []) + head[:0:-1]
+        pal = head + ((n - 2 * cum(s),) if h == s else ()) + head[:0:-1]
         pal_cum = _cum(pal)
-        if min(pal) >= 0 and _sd_shape(e, n, pal, pal_cum) and _feasible(e, n, pal_cum):
-            total_sd += _sd_count(spec, n, pal_cum, bt)
-        so = bt * (upper(h + 1) if h < e else 1)
-        if h > s:
-            so *= q ** _sd_exponent(spec, n, cum)
-        total_so += so
+        if _sd_shape(e, n, pal, pal_cum) and _feasible(e, n, pal_cum):
+            total_sd += weight
+        memo = {}  # upper(i, before), for this head
+        total_so += weight * upper(h + 1, cum(h))
     return total_so, total_sd

@@ -144,11 +144,6 @@ def gr_pow(R: GRSpec, a: GRElem, k: int) -> GRElem:
 # residue field F_{2^m} (elements as bitmasks) and Teichmuller lifts
 # ---------------------------------------------------------------------------
 
-def residue(R: GRSpec, a: GRElem) -> int:
-    """Image in the residue field, as a bitmask."""
-    return sum((c & 1) << i for i, c in enumerate(a))
-
-
 def field_lift(R: GRSpec, c: int) -> GRElem:
     """Coefficient-wise 0/1 lift of a residue-field element."""
     return tuple((c >> i) & 1 for i in range(R.m))

@@ -177,7 +177,6 @@ def enumerate_codes_of_type(
     spec: ChainRingSpec,
     n: int,
     profile: Sequence[int],
-    level: Optional[int] = None,
     predicate: Optional[Callable[[RingCode], bool]] = None,
     budget: Optional[OracleBudget] = None,
 ) -> Iterator[RingCode]:
@@ -188,15 +187,13 @@ def enumerate_codes_of_type(
     candidate count exceeds the budget.
     """
     _check_length(n)
-    level = spec.e if level is None else level
-    gamma = len(profile) - level
-    if gamma < 0:
-        raise ValueError("profile is shorter than the level")
+    if len(profile) < spec.e:
+        raise ValueError(f"profile {tuple(profile)} is shorter than the depth {spec.e}")
     if sum(profile) > n:
         return
-    _check_budget(spec, n, _walk_size(spec, n, profile, level), budget)
+    _check_budget(spec, n, _walk_size(spec, n, profile, spec.e), budget)
     seen = set()
-    for cand in _matrix_candidates(spec, n, profile, level):
+    for cand in _matrix_candidates(spec, n, profile, spec.e):
         if predicate is not None and not predicate(cand):
             continue
         sig = code_signature(cand)

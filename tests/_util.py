@@ -21,7 +21,7 @@ from chaincodes.fieldcodes import (
     make_field_code,
     zero_code,
 )
-from chaincodes.galois import GRSpec
+from chaincodes.galois import GRElem, GRSpec
 from chaincodes.oracle import enumerate_codes_of_type
 from chaincodes.ringcodes import (
     RingCode,
@@ -73,6 +73,11 @@ def so_pool(name: str, n: int) -> Tuple[RingCode, ...]:
             enumerate_codes_of_type(spec, n, lam, predicate=is_self_orthogonal_ring)
         )
     return tuple(out)
+
+
+def residue(R: GRSpec, a: GRElem) -> int:
+    """Image of a Galois-ring element in the residue field, as a bitmask."""
+    return sum((c & 1) << i for i, c in enumerate(a))
 
 
 def random_code(rng: random.Random, spec: ChainRingSpec, n: int) -> RingCode:

@@ -396,6 +396,45 @@ def test_malformed_budget_variable_exits_two(capsys, monkeypatch, raw):
     assert err.startswith("error: CHAINCODES_BUDGET ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1"),
+        ("verify", "--table", "1", "--no-oracle"),
+        ("oracle-compare", "--preset", "R4,1", "--n", "2"),
+    ],
+)
+def test_malformed_budget_variable_is_refused_without_a_recount(capsys, monkeypatch, argv):
+    # the variable is read before any work, not only when the oracle runs
+    monkeypatch.setenv("CHAINCODES_BUDGET", "abc")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: CHAINCODES_BUDGET ")
+
+
+def test_budget_flag_overrides_a_malformed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CHAINCODES_BUDGET", "abc")
+    rc, doc, _ = run_json(
+        capsys, "count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1", "--budget", "5"
+    )
+    assert (rc, doc["oracle"]) == (0, None)
+    rc, _, err = run(
+        capsys, "count", "--preset", "R4,1", "--n", "2", "--type", "0,1,0,1", "--oracle",
+        "--budget", "5",
+    )
+    # the flag's ceiling, not the variable, refuses the 8-candidate recount
+    assert rc == 2 and err.startswith("budget: ") and "ceiling 5" in err
+    rc, _, _ = run(capsys, "verify", "--table", "1", "--no-oracle", "--budget", "5")
+    assert rc == 0
+
+
+def test_table_ignores_the_budget_variable(capsys, monkeypatch):
+    # table never recounts and takes no --budget
+    monkeypatch.setenv("CHAINCODES_BUDGET", "abc")
+    rc, out, _ = run(capsys, "table", "--table", "1")
+    assert rc == 0 and out
+
+
 def test_budget_override_admits_longer_lengths(capsys):
     rc, doc, _ = run_json(
         capsys,

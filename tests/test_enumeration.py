@@ -1,5 +1,6 @@
 """Closed-form counts: q-binomials, per-type formulas, frozen tables."""
 
+import hashlib
 import math
 import random
 
@@ -217,6 +218,34 @@ def _total_or_error(spec, n):
         return type(exc)
 
 
+def _value_or_error(count, spec, n, lam):
+    try:
+        return count(spec, n, lam)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def test_type_counts_are_pinned():
+    # counts and totals share the head exponent, so comparing totals with
+    # per-type sums cannot catch an error in it: pin every per-type answer
+    # (or the class it raises) of the seven CLI rings at n <= 6 (q = 2) and
+    # n <= 4 (q = 4)
+    digest = hashlib.sha256()
+    rows = 0
+    for name in PRESET_NAMES + _CR_RINGS:
+        spec = parse_ring_spec(name) if name.startswith("CR(") else preset(name)
+        for n in range((6 if spec.q == 2 else 4) + 1):
+            for lam in _all_types(spec.e, n):
+                so = _value_or_error(count_so_type, spec, n, lam)
+                sd = _value_or_error(count_sd_type, spec, n, lam)
+                digest.update(repr((name, n, lam, so, sd)).encode() + b"\n")
+                rows += 1
+    assert rows == 13568
+    assert digest.hexdigest() == (
+        "efe204191acc701dfe2bc2b2ce41861fa5ec14c18b54ec2a1f5cd5a35fa42a87"
+    )
+
+
 @pytest.mark.parametrize(
     "spec,lengths",
     [
@@ -240,7 +269,7 @@ def test_total_counts_equals_per_type_sums(spec, lengths):
             cum = _cum(lam)
             paired = all(cum(i) + cum(e - i + 1) <= n for i in range(e // 2 + 1, e + 1))
             assert so_feasible(spec, n, lam) == paired, lam
-            # the cap the total's walk grows each entry under
+            # the cap _room gives each entry, under which the total sums the upper half
             assert all(lam[i - 1] <= _room(e, n, cum, i) for i in range(1, e + 1)) == paired
         assert _total_or_error(spec, n) == _per_type_sums(spec, n), n
 

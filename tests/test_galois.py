@@ -19,12 +19,11 @@ from chaincodes.galois import (
     gr_zero,
     make_galois_ring,
     parse_field_elem,
-    residue,
     teichmuller_lift,
     teichmuller_set,
 )
 
-from _util import run_child
+from _util import residue, run_child
 
 RING_PARAMS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 

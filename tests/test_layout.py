@@ -23,7 +23,6 @@ SRC = Path(chaincodes.__file__).resolve().parent
 ALLOWED = {
     "chain._ref_from_int": "the element kernel's tuple reference, read by the kernel tests",
     "chain.from_u_adic": "perfbench/run.py reads its cache_info()",
-    "galois.residue": "the Teichmuller tests check against it",
     "ringcodes.enumerate_codewords": "the signature tests decode codeword sets with it",
 }
 

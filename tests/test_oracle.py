@@ -39,6 +39,12 @@ def test_unit_multiples_deduplicate():
     assert len(codes) == 1
 
 
+def test_short_profiles_are_refused():
+    # the walk runs at full depth, so a type needs one entry per scale
+    with pytest.raises(ValueError, match="shorter than the depth 4"):
+        next(enumerate_codes_of_type(preset("R4,1"), 2, (0, 1, 0)))
+
+
 def _brute_total(spec, n, predicate):
     total = 0
     for lam in _all_types(spec.e, n):
