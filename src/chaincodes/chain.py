@@ -526,8 +526,7 @@ def pi0(spec: ChainRingSpec, a: CRElem) -> int:
 # perfbench/run.py --trace 1 reports the cache_info() of to_u_adic and
 # from_u_adic, so both keep a cache; the bound keeps a long-lived process
 # from holding every element it ever converted.
-# reuse: 0 hits on every workload, for both
-
+# reuse: 0 hits, 0 misses per 8 s of every workload (seed 3)
 @lru_cache(maxsize=4096)
 def to_u_adic(spec: ChainRingSpec, a: CRElem) -> Tuple[int, ...]:
     """The e u-adic coordinates of a (Teichmuller digits, as field bitmasks)."""
@@ -535,6 +534,8 @@ def to_u_adic(spec: ChainRingSpec, a: CRElem) -> Tuple[int, ...]:
     return tuple((a >> (m * i)) & mask for i in range(spec.e))
 
 
+# reuse: 0 hits, 0 misses per 8 s of every workload (seed 3); nothing in
+# the package calls it, only the tests
 @lru_cache(maxsize=4096)
 def from_u_adic(spec: ChainRingSpec, digits: Tuple[int, ...]) -> CRElem:
     """Sum of u^i * teich(digits[i]); digits at positions >= e vanish (u^e = 0)."""

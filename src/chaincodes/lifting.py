@@ -394,15 +394,24 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
     return dict(stage_plan(spec))[level], tuple(out)
 
 
+def _require_valid(chain: SOChain) -> None:
+    problems = validate_chain(chain)
+    if problems:
+        raise ValueError("invalid chain: " + "; ".join(problems))
+
+
 def base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
     """All valid codes at the lowest level, aligned with the chain.
 
     new_count is the row count of the first block beyond the chain (the
     bottom block of the base-level type).
     """
-    problems = validate_chain(chain)
-    if problems:
-        raise ValueError("invalid chain: " + "; ".join(problems))
+    _require_valid(chain)
+    yield from _base_lift(chain, new_count)
+
+
+def _base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
+    """base_lift on a chain already validated."""
     spec = chain.ring
     level = 2 + spec.e % 2
     mat = chain_matrix(chain)
@@ -451,9 +460,7 @@ def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCod
     validate_chain refuses n = 4 (mod 8) over a field of odd degree.
     """
     spec = chain.ring
-    problems = validate_chain(chain)
-    if problems:
-        raise ValueError("invalid chain: " + "; ".join(problems))
+    _require_valid(chain)
     if len(lambdas) != spec.e:
         raise ValueError("type tuple must have one entry per depth")
     head = chain.lambdas
@@ -471,7 +478,7 @@ def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCod
             return code
         level, _ = plan[idx]
         if code is None:
-            source = base_lift(chain, new_count_at(level))
+            source = _base_lift(chain, new_count_at(level))
         else:
             source = lift_once(code, chain, new_count_at(level))
         for cand in source:

@@ -77,11 +77,18 @@ class OracleBudget:
         return cls(max_candidates, max_length=10**9, max_ring_bits=10**9)
 
 
+_DESK_BUDGET = OracleBudget()
+
+
 def default_budget() -> OracleBudget:
+    """The budget CHAINCODES_BUDGET sets, read on every call; unset, the
+    desk-scale default, one shared frozen instance."""
     raw = os.environ.get("CHAINCODES_BUDGET")
-    if raw and not raw.strip().isdecimal():
+    if not raw:
+        return _DESK_BUDGET
+    if not raw.strip().isdecimal():
         raise ValueError(f"CHAINCODES_BUDGET must be a nonnegative integer, got {raw!r}")
-    return OracleBudget.lifted(int(raw)) if raw else OracleBudget()
+    return OracleBudget.lifted(int(raw))
 
 
 def _check_budget(

@@ -170,13 +170,20 @@ def fill_plan(
     return plan._replace(test=(tuple(p for p in pairs if p[4]), tuple(masks)))
 
 
-def _row_variants(base: RVec, writes: Sequence[Tuple[int, int]], q: int) -> Iterator[RVec]:
+# The first written row is listed 2**_LISTED_BITS variants at a time, over a
+# list of its leading writes; the other rows are listed whole.  They have no
+# more slots than the first in the oracle's walk and a few in a lift plan,
+# so a walk of q**w candidates holds about q**w / 2**12 + 2**12 rows plus
+# at most sqrt(q**w) per other row, where whole lists would hold q**w.
+_LISTED_BITS = 12
+
+
+def _row_variants(base: RVec, writes: Sequence[Tuple[int, int]], q: int) -> List[RVec]:
     """base with every residue digit at each write, the last write fastest."""
-    for assignment in itertools.product(range(q), repeat=len(writes)):
-        row = list(base)
-        for (c, shift), val in zip(writes, assignment):
-            row[c] |= val << shift
-        yield tuple(row)
+    variants = [base]
+    for c, shift in writes:
+        variants = [v[:c] + (v[c] | d << shift,) + v[c + 1 :] for v in variants for d in range(q)]
+    return variants
 
 
 def fill_candidates(
@@ -193,53 +200,78 @@ def fill_candidates(
     slot takes every residue digit in turn, the last slot varying fastest
     (the order of itertools.product over the slots); the other digits stay
     as the template has them.  tail, if given, is appended unchanged as a
-    final block.  The written rows are chosen in nested loops.  With the
-    plan's test, a row keeps the variants that pass its own and the
-    unwritten rows' masks, and each choice is checked against the rows
-    chosen before it, so the survivors come out in stream order.
+    final block.  Each written row's variants are listed once per call
+    (the first row's in slices of its leading writes), and the rows are
+    chosen by a product over those lists; nested only where earlier-row
+    masks apply.  With the plan's test, a row keeps the variants that pass
+    its own and the unwritten rows' masks, and each choice is checked
+    against the earlier rows its masks name, so the survivors come out in
+    stream order.
     """
-    spec, level, n, profile, _, test = plan
+    spec, level, n, profile, rows, test = plan
     blocks = [[tuple(row) for row in block] for block in templates]
     if tail is not None:
         blocks.append(list(tail))
     dot, q = spec.ops.dot, spec.q
-    bases = [blocks[h - 1][r] for h, r, _ in plan.rows]  # read before any write
-    if test is not None:
-        pairs, masks = test
-        if any(dot(blocks[a - 1][i], blocks[b - 1][j]) & mk for a, i, b, j, mk in pairs):
-            return
-        options = [
-            [
-                v
-                for v in _row_variants(base, row[2], q)
-                if not dot(v, v) & own
-                and not any(dot(v, blocks[h - 1][r]) & mk for h, r, mk in fixed)
-            ]
-            for base, row, (own, fixed, _) in zip(bases, plan.rows, masks)
-        ]
-        if not all(options):
-            return
-    chosen: List[RVec] = [()] * len(plan.rows)
-    last = len(plan.rows) - 1
 
     def make() -> RingCode:
         return RingCode(spec, level, n, profile, tuple(map(tuple, blocks)), pivots)
 
-    def walk(k: int) -> Iterator[RingCode]:
-        h, r, writes = plan.rows[k]
+    earlier = None
+    if test is not None:
+        pairs, masks = test
+        if any(dot(blocks[a - 1][i], blocks[b - 1][j]) & mk for a, i, b, j, mk in pairs):
+            return
+        if any(mask[2] for mask in masks):
+            earlier = [mask[2] for mask in masks]
+    if not rows:
+        yield make()
+        return
+    bases = [blocks[h - 1][r] for h, r, _ in rows]  # read before any write
+
+    def variants(k: int, base: RVec, writes: Sequence[Tuple[int, int]]) -> List[RVec]:
+        listed = _row_variants(base, writes, q)
         if test is None:
-            rows, earlier = _row_variants(bases[k], writes, q), ()
-        else:
-            rows, earlier = options[k], masks[k][2]
-        for v in rows:
-            if not earlier or not any(dot(v, chosen[j]) & mk for j, mk in earlier):
-                blocks[h - 1][r] = chosen[k] = v
+            return listed
+        own, fixed, _ = masks[k]
+        return [
+            v
+            for v in listed
+            if not dot(v, v) & own and not any(dot(v, blocks[h - 1][r]) & mk for h, r, mk in fixed)
+        ]
+
+    options = [[]] + [variants(k, bases[k], rows[k][2]) for k in range(1, len(rows))]
+    if not all(options[1:]):
+        return
+    targets = [(blocks[h - 1], r) for h, r, _ in rows]
+    chosen: List[RVec] = [()] * len(rows)
+    last = len(rows) - 1
+
+    def walk(k: int) -> Iterator[RingCode]:
+        block, r = targets[k]
+        ties = earlier[k]
+        for v in options[k]:
+            if not any(dot(v, chosen[j]) & mk for j, mk in ties):
+                block[r] = chosen[k] = v
                 if k == last:
                     yield make()
                 else:
                     yield from walk(k + 1)
 
-    yield from walk(0) if plan.rows else iter((make(),))
+    writes = rows[0][2]
+    cut = max(0, len(writes) - _LISTED_BITS // spec.m)
+    for lead in _row_variants(bases[0], writes[:cut], q):
+        options[0] = variants(0, lead, writes[cut:])
+        if earlier is not None:
+            yield from walk(0)
+            continue
+        block, r = targets[last]
+        for choice in itertools.product(*options[:last]):
+            for (row_block, row), v in zip(targets, choice):
+                row_block[row] = v
+            for v in options[last]:
+                block[r] = v
+                yield make()
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +500,43 @@ def truncate_code(code: RingCode, target_level: int) -> RingCode:
 def is_self_orthogonal_ring(code: RingCode) -> bool:
     """Whether the code is contained in its annihilator dual.
 
-    Row test: for unscaled rows a, b carried at scales u^pa, u^pb, every
-    digit of a.b below level - pa - pb must vanish.
+    Row test: for unscaled rows a, b of blocks carried at scales u^pa,
+    u^pb, every digit of a.b below need = level - pa - pb must vanish, so
+    a.b has no bit under truncate_elem(spec, -1, need), the mask fill_plan
+    tests rows with.  The scales come from the block index and gamma, one
+    mask per pair of blocks.
     """
-    spec = code.ring
-    dot = spec.ops.dot
-    rows = list(code.rows_with_powers())
-    lev = code.level
-    for i, (a, pa) in enumerate(rows):
-        for b, pb in rows[i:]:
-            need = lev - pa - pb
-            if need <= 0:
+    spec, level, blocks = code.ring, code.level, code.block_rows
+    dot, m = spec.ops.dot, spec.m
+    gamma = len(code.profile) - level  # block i (0-based) has scale max(0, i - gamma)
+    for i, block in enumerate(blocks):
+        if not block:
+            continue
+        pa = max(0, i - gamma)
+        for k in range(i, len(blocks)):
+            need = level - pa - max(0, k - gamma)
+            if need <= 0:  # later blocks carry scales at least as large
+                break
+            other = blocks[k]
+            if not other:
                 continue
-            if u_valuation(spec, dot(a, b)) < need:
-                return False
+            mask = (1 << m * need) - 1  # truncate_elem(spec, -1, need)
+            for j, a in enumerate(block):
+                for b in other[j:] if k == i else other:
+                    if dot(a, b) & mask:
+                        return False
     return True
 
 
 def is_self_dual_ring(code: RingCode) -> bool:
-    """Self-orthogonal with the palindromic type that forces equality."""
-    level_type = code.level_type
-    if _reversal(code.n, level_type) != level_type:
+    """Self-orthogonal with the palindromic type that forces equality.
+
+    The coarse type (head, lower...) equals its reversal (n - total,
+    reversed lower...) when head = n - total and lower is a palindrome.
+    """
+    profile = code.profile
+    lower = profile[len(profile) - code.level + 1 :]
+    if 2 * sum(profile) - sum(lower) != code.n or lower != lower[::-1]:
         return False
     return is_self_orthogonal_ring(code)
 

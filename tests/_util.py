@@ -3,6 +3,7 @@ the reference walks the fast searches are checked against, and a child
 interpreter for calls that might never return."""
 
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -11,7 +12,14 @@ from pathlib import Path
 from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 import chaincodes
-from chaincodes.chain import ChainRingSpec, from_u_adic, preset, truncate_elem
+from chaincodes.chain import (
+    ChainRingSpec,
+    from_u_adic,
+    preset,
+    to_u_adic,
+    truncate_elem,
+    u_valuation,
+)
 from chaincodes.enumeration import _all_types
 from chaincodes.fieldcodes import (
     FieldCode,
@@ -138,6 +146,44 @@ def reference_codewords(code: RingCode) -> FrozenSet[RVec]:
             multiples = [tuple(mul(r, x) & keep for x in scaled) for r in coeffs]
             words = [tuple(map(add, acc, mult)) for acc in words for mult in multiples]
     return frozenset(tuple(x & keep for x in wd) for wd in words)
+
+
+def reference_is_self_orthogonal_ring(code: RingCode) -> bool:
+    """Self-orthogonality by valuations: for unscaled rows a, b carried at
+    scales u^pa, u^pb, the u-adic valuation of a.b must reach
+    level - pa - pb.  The arbiter of the mask test in ringcodes."""
+    spec = code.ring
+    rows = list(code.rows_with_powers())
+    for i, (a, pa) in enumerate(rows):
+        for b, pb in rows[i:]:
+            need = code.level - pa - pb
+            if need > 0 and u_valuation(spec, spec.ops.dot(a, b)) < need:
+                return False
+    return True
+
+
+def reference_is_self_dual_ring(code: RingCode) -> bool:
+    """Self-orthogonal with a coarse type equal to its dual's, compared as
+    the level_type and dual_level_type tuples."""
+    if code.dual_level_type() != code.level_type:
+        return False
+    return reference_is_self_orthogonal_ring(code)
+
+
+def stream_digest(codes: Iterator[RingCode]) -> Tuple[int, str]:
+    """(count, SHA-256) over a stream of codes, in order: each code's level,
+    profile, pivots and entries as u-adic digits."""
+    digest = hashlib.sha256()
+    count = 0
+    for code in codes:
+        spec = code.ring
+        entries = tuple(
+            tuple(tuple(to_u_adic(spec, x) for x in row) for row in block)
+            for block in code.block_rows
+        )
+        digest.update(repr((code.level, code.profile, code.pivots, entries)).encode())
+        count += 1
+    return count, digest.hexdigest()
 
 
 def run_child(*args: str) -> subprocess.CompletedProcess:

@@ -7,7 +7,9 @@ the few that stay for another reason.  References are matched by name, so
 a local variable or attribute of the same name also counts as a use.
 
 Cache guard: every lru_cache of the package names an integer maxsize, and
-functools.cache is not used, so no cache grows without bound.
+functools.cache is not used, so no cache grows without bound.  The
+comment block directly above each @lru_cache holds a "# reuse:" line with
+the reuse measured for that cache.
 """
 
 import ast
@@ -27,8 +29,12 @@ ALLOWED = {
 }
 
 
+def _sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+
+
 def _modules():
-    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    return {name: ast.parse(source) for name, source in _sources().items()}
 
 
 def _exported(tree):
@@ -120,3 +126,47 @@ def test_every_cache_has_an_integer_bound():
 )
 def test_the_cache_guard_flags_unbounded_caches(source, lines):
     assert unbounded_caches(ast.parse(source)) == lines
+
+
+def caches_without_reuse(source):
+    """Line numbers of each @lru_cache whose comment block directly above
+    has no "# reuse:" line."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        for deco in getattr(node, "decorator_list", ()):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(target, "id", getattr(target, "attr", None)) != "lru_cache":
+                continue
+            above = deco.lineno - 2  # index of the line above the decorator
+            block = []
+            while above >= 0 and lines[above].lstrip().startswith("#"):
+                block.append(lines[above].strip())
+                above -= 1
+            if not any(line.startswith("# reuse:") for line in block):
+                out.append(deco.lineno)
+    return sorted(out)
+
+
+def test_every_cache_states_its_measured_reuse():
+    found = {name: caches_without_reuse(source) for name, source in _sources().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from functools import lru_cache\n# reuse: 3 hits\n@lru_cache(maxsize=4)\ndef f(): pass",
+         []),
+        ("import functools\n# why\n# reuse: 3 hits\n@functools.lru_cache(4)\ndef f(): pass", []),
+        ("from functools import lru_cache\n@lru_cache(maxsize=4)\ndef f(): pass", [2]),
+        ("from functools import lru_cache\n# why, no figure\n@lru_cache(maxsize=4)\ndef f(): pass",
+         [3]),
+        ("from functools import lru_cache\n# reuse: 3 hits\n\n@lru_cache(maxsize=4)\ndef f(): pass",
+         [4]),
+        ("from functools import lru_cache\n# reuse: 3 hits\n@lru_cache(maxsize=4)\ndef f(): pass\n"
+         "@lru_cache(maxsize=4)\ndef g(): pass", [5]),
+    ],
+)
+def test_the_reuse_guard_flags_caches_without_a_figure(source, lines):
+    assert caches_without_reuse(source) == lines

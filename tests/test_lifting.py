@@ -1,7 +1,5 @@
 """Chain validation, stage plans, and the staged lifting construction."""
 
-import hashlib
-
 import pytest
 
 from chaincodes import lifting
@@ -38,7 +36,7 @@ from chaincodes.ringcodes import (
     torsion_code,
 )
 
-from _util import reference_so_chains
+from _util import reference_so_chains, stream_digest
 
 
 def test_stage_plans_for_presets():
@@ -152,6 +150,22 @@ def test_construct_self_dual_code():
     chain = SOChain(r41, 2, (zero_code(r41.gr, 2), c11))
     code = construct_self_orthogonal(chain, (0, 1, 0, 1))
     assert is_self_dual_ring(code)
+
+
+def test_construct_validates_the_chain_once(monkeypatch):
+    # the descent's base lift runs on the chain construct already checked,
+    # while base_lift called on its own still checks
+    calls = []
+    original = lifting.validate_chain
+    monkeypatch.setattr(
+        lifting, "validate_chain", lambda chain: calls.append(chain) or original(chain)
+    )
+    r41 = preset("R4,1")
+    chain = SOChain(r41, 2, (zero_code(r41.gr, 2), make_field_code(r41.gr, 2, [(1, 1)])))
+    construct_self_orthogonal(chain, (0, 1, 0, 1))
+    assert len(calls) == 1
+    list(base_lift(chain, 0))
+    assert len(calls) == 2
 
 
 def test_construct_rejects_bad_inputs():
@@ -325,31 +339,21 @@ def test_length_seven_chain_count():
     assert sum(not validate_chain(chain) for chain in chains) == 525
 
 
-def _lift_digest(name, n):
-    """(yields, SHA-256) over every base_lift/lift_once yield of every valid
-    chain of every type, stage by stage, in the order they are produced."""
+def _lift_stream(name, n):
+    """Every base_lift/lift_once yield of every valid chain of every type,
+    stage by stage, in the order they are produced."""
     spec = preset(name)
     half = expected_chain_length(spec)
     stages = len(stage_plan(spec))
-    digest = hashlib.sha256()
-    count = 0
     for lam in _all_types(spec.e, n):
         for chain in enumerate_so_chains(spec, n, lam[:half]):
             if validate_chain(chain):
                 continue
             jets = list(base_lift(chain, lam[half]))
-            layers = [jets]
+            yield from jets
             for k in range(1, stages):
                 jets = [c for jet in jets for c in lift_once(jet, chain, lam[half + k])]
-                layers.append(jets)
-            for code in (c for layer in layers for c in layer):
-                entries = tuple(
-                    tuple(tuple(to_u_adic(spec, x) for x in row) for row in block)
-                    for block in code.block_rows
-                )
-                digest.update(repr((code.level, code.profile, code.pivots, entries)).encode())
-                count += 1
-    return count, digest.hexdigest()
+                yield from jets
 
 
 @pytest.mark.parametrize(
@@ -362,7 +366,42 @@ def _lift_digest(name, n):
 def test_lift_yields_are_pinned(name, n, pinned):
     # pinned while elements were nested tuples: yield order and content must
     # not depend on how elements are encoded
-    assert _lift_digest(name, n) == pinned
+    assert stream_digest(_lift_stream(name, n)) == pinned
+
+
+def _unfiltered_second_stage(name, n):
+    """The second stage written without the row-wise test: every candidate
+    over every base-level code of every valid chain of every type."""
+    spec = preset(name)
+    half = expected_chain_length(spec)
+    level = 4 + spec.e % 2
+    for lam in _all_types(spec.e, n):
+        for chain in enumerate_so_chains(spec, n, lam[:half]):
+            if validate_chain(chain):
+                continue
+            for jet in base_lift(chain, lam[half]):
+                carried = tuple(
+                    (jet.pivots[h - 1], jet.precision(h)) for h in range(1, len(jet.profile) + 1)
+                )
+                _, bottoms = lifting._lift_plan(
+                    spec, n, level, jet.gamma - 1, carried, lam[half + 1]
+                )
+                for rows, pivots, plan in bottoms:
+                    unfiltered = plan._replace(test=None)
+                    yield from fill_candidates(unfiltered, pivots, jet.block_rows, rows)
+
+
+@pytest.mark.parametrize(
+    "name, n, pinned",
+    [
+        ("R4,1", 4, (12585, "fc7e1b92ae204af67e005883f31117782e45925d060ef27511d7158f01023d10")),
+        ("R5,1", 3, (678, "b5c6102405d6d2d8be99b6be7bd9f7e6284f139132f018000077bbdeb20f06e4")),
+    ],
+)
+def test_unfiltered_stage_stream_is_pinned(name, n, pinned):
+    # pinned while fill_candidates walked rows in nested loops: writing
+    # every slot without a test keeps the order of itertools.product
+    assert stream_digest(_unfiltered_second_stage(name, n)) == pinned
 
 
 def _filtered_stream(spec, n, level, gamma, carried, templates, new_count):

@@ -15,10 +15,12 @@ from chaincodes.oracle import (
     brute_force_code_count,
     brute_force_doubly_even_count,
     brute_force_lift_count,
+    default_budget,
     enumerate_codes_of_type,
 )
 from chaincodes.tables import GOLDEN_TABLES, reproduce_table
 
+from _util import stream_digest
 
 
 def test_first_table_rows_recounted_exhaustively():
@@ -110,6 +112,17 @@ def test_budget_guards():
     assert brute_force_code_count(r41, 6, (0, 0, 0, 1), "so", budget=wide) == 63
 
 
+def test_default_budget_is_shared_and_the_variable_read_per_call(monkeypatch):
+    monkeypatch.delenv("CHAINCODES_BUDGET", raising=False)
+    assert default_budget() is default_budget() == OracleBudget()
+    monkeypatch.setenv("CHAINCODES_BUDGET", "7")
+    assert default_budget() == OracleBudget.lifted(7)
+    monkeypatch.setenv("CHAINCODES_BUDGET", "abc")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="CHAINCODES_BUDGET"):
+            default_budget()
+
+
 def test_lift_recount_flat_zone():
     r41 = preset("R4,1")
     ones4 = make_field_code(r41.gr, 4, [(1, 1, 1, 1)])
@@ -192,6 +205,24 @@ def test_oracle_walk_size_matches_budget_estimate():
                     assert len(seen) == want, (name, level, lam)
                     checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize(
+    "name, n, pinned",
+    [
+        ("R4,1", 2, (109, "58c499cf666062904fdb37ad4fa5d24f3b2415f744491a1e0d61d04c176e655b")),
+        ("R6,2", 1, (7, "3212816e8260d436d16a462dcdf31453898745f73c9e0d15032bbe5441830d73")),
+        ("R6,2", 2, (14551, "eb50201018f6b5f5f2bb0d2632980cc3efddac06fe463812f2b89cf3b0b04b18")),
+    ],
+)
+def test_oracle_candidate_stream_is_pinned(name, n, pinned):
+    # pinned while fill_candidates walked rows in nested loops: every
+    # candidate matrix of every type, in the order the recount walks them
+    spec = preset(name)
+    stream = (
+        cand for lam in _all_types(spec.e, n) for cand in _matrix_candidates(spec, n, lam, spec.e)
+    )
+    assert stream_digest(stream) == pinned
 
 
 def test_traced_names_are_looked_up_at_call_time(monkeypatch):

@@ -1,6 +1,7 @@
 """Chain ring codes: standard form, torsion, truncation, duality."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -14,11 +15,24 @@ from chaincodes.chain import (
     truncate_elem,
     u_valuation,
 )
+from chaincodes.enumeration import _all_types
 from chaincodes.fieldcodes import is_subcode
+from chaincodes.lifting import (
+    base_lift,
+    enumerate_so_chains,
+    expected_chain_length,
+    lift_once,
+    stage_plan,
+    validate_chain,
+)
+from chaincodes.oracle import _matrix_candidates, _walk_size
 from chaincodes.ringcodes import (
+    RingCode,
     code_signature,
     dual_code_ring,
     enumerate_codewords,
+    fill_candidates,
+    fill_plan,
     is_self_dual_ring,
     is_self_orthogonal_ring,
     make_code,
@@ -29,7 +43,14 @@ from chaincodes.ringcodes import (
     truncate_code,
 )
 
-from _util import canonical_key, random_code, reference_codewords, so_pool
+from _util import (
+    canonical_key,
+    random_code,
+    reference_codewords,
+    reference_is_self_dual_ring,
+    reference_is_self_orthogonal_ring,
+    so_pool,
+)
 
 
 # 2^18 elements: over _TABLE_MAX, so its kernel computes each look-up
@@ -268,3 +289,93 @@ def test_deep_orthogonality_rejects_shallow_truncation():
     naive = truncate_code(full, 6)
     assert is_self_orthogonal_ring(naive)
     assert not satisfies_deep_orthogonality(naive)
+
+
+def _oracle_walks(spec, n, cap=3000):
+    """Every candidate of the oracle's walks over every type of length n,
+    at full depth and, on the finer profiles, two levels below it."""
+    for level in (spec.e, spec.e - 2):
+        for lam in _all_types(spec.e, n):
+            if level >= 1 and _walk_size(spec, n, lam, level) <= cap:
+                yield from _matrix_candidates(spec, n, lam, level)
+
+
+def _stage_lifts(spec, n):
+    """Every base_lift and lift_once yield of every valid chain of length n."""
+    half = expected_chain_length(spec)
+    for lam in _all_types(spec.e, n):
+        for chain in enumerate_so_chains(spec, n, lam[:half]):
+            if validate_chain(chain):
+                continue
+            jets = list(base_lift(chain, lam[half]))
+            yield from jets
+            for k in range(1, len(stage_plan(spec))):
+                jets = [c for jet in jets for c in lift_once(jet, chain, lam[half + k])]
+                yield from jets
+
+
+def _truncations(codes):
+    """Each full-depth code pushed down to every lower level of its parity."""
+    for code in codes:
+        if code.level == code.ring.e:
+            for level in range(code.level - 2, 0, -2):
+                yield truncate_code(code, level)
+
+
+@pytest.mark.parametrize(
+    "label", PRESET_NAMES + ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
+)
+def test_orthogonality_predicates_equal_the_valuation_reference(label):
+    # the mask test and the arithmetic palindrome check decide exactly as
+    # valuations and type tuples do, on every oracle candidate, every
+    # truncation (gamma > 0) and every stage lift
+    spec = _ring(label)
+    walked = [code for n in (1, 2) for code in _oracle_walks(spec, n)]
+    # R6,2 and R8,2 lift 256,247 and 7,049,103 codes at n = 3
+    lengths = (1, 2) if label in ("R6,2", "R8,2") else (1, 2, 3)
+    lifted = [code for n in lengths for code in _stage_lifts(spec, n)]
+    seen = {"so": set(), "sd": set(), "gamma": set()}
+    for code in itertools.chain(walked, lifted, _truncations(walked), _truncations(lifted)):
+        so = is_self_orthogonal_ring(code)
+        sd = is_self_dual_ring(code)
+        assert so == reference_is_self_orthogonal_ring(code), code
+        assert sd == reference_is_self_dual_ring(code), code
+        seen["so"].add(so)
+        seen["sd"].add(sd)
+        seen["gamma"].add(code.gamma > 0)
+    assert seen == {"so": {False, True}, "sd": {False, True}, "gamma": {False, True}}
+
+
+def _written_out(plan, pivots, templates):
+    """fill_candidates by hand: one matrix per digit assignment to the
+    slots, in the order of itertools.product over them."""
+    slots = [(h, r, c, shift) for h, r, writes in plan.rows for c, shift in writes]
+    for digits in itertools.product(range(plan.spec.q), repeat=len(slots)):
+        blocks = [[list(row) for row in block] for block in templates]
+        for (h, r, c, shift), d in zip(slots, digits):
+            blocks[h - 1][r][c] |= d << shift
+        rows = tuple(tuple(map(tuple, block)) for block in blocks)
+        yield RingCode(plan.spec, plan.level, plan.n, plan.profile, rows, pivots)
+
+
+@pytest.mark.parametrize(
+    "label, n, profile, pivots, slots",
+    [
+        # one row of 14 slots: its leading writes are walked above the listed ones
+        ("R4,1", 5, (1, 0, 0, 0), ((0,), (), (), ()),
+         [(1, 0, c, mu) for c in (1, 2, 3, 4) for mu in range(4)][:14]),
+        # a first row of 13 slots over a second of two
+        ("R4,1", 5, (1, 1, 0, 0), ((0,), (1,), (), ()),
+         [(1, 0, c, mu) for c in (1, 2, 3, 4) for mu in range(4) if (c, mu) != (1, 0)][:13]
+         + [(2, 0, 2, 0), (2, 0, 4, 2)]),
+        # q = 4: seven slots of two bits each, then one
+        ("R6,2", 3, (1, 1, 0, 0, 0, 0), ((0,), (1,), (), (), (), ()),
+         [(1, 0, 2, mu) for mu in range(6)] + [(1, 0, 1, 0), (2, 0, 2, 3)]),
+    ],
+)
+def test_fill_candidates_follow_the_product_over_slots(label, n, profile, pivots, slots):
+    spec = _ring(label)
+    templates = [[tuple(int(c == p) for c in range(n)) for p in piv] for piv in pivots]
+    plan = fill_plan(spec, spec.e, n, profile, slots)
+    got = fill_candidates(plan, pivots, templates)
+    assert list(got) == list(_written_out(plan, pivots, templates))
