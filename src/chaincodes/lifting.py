@@ -35,7 +35,6 @@ from .fieldcodes import (
 )
 from .ringcodes import (
     RingCode,
-    Slot,
     fill_candidates,
     fill_plan,
     is_self_orthogonal_ring,
@@ -378,20 +377,27 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
         pivots_by_block = existing_pivots + [bottom_piv]
         if bottom_piv not in plans:
             free_rem = [c for c in free_cols if c not in bottom_piv]
-            slots: List[Slot] = []
+            rows = []
             for h in range(1, bot):
                 piv, prec_prev = carried[h - 1]
                 prec_new = level - max(0, h - gamma - 1)
-                for r in range(len(piv)):
-                    for mu in range(prec_prev, prec_new):
-                        cols = list(free_rem)
-                        for h2 in range(h + mu + 1, bot + 1):
-                            cols.extend(pivots_by_block[h2 - 1])
-                        for c in sorted(cols):
-                            slots.append((h, r, c, mu))
-            plans[bottom_piv] = fill_plan(spec, level, n, profile, slots, test=True)
+                writes = []
+                for mu in range(prec_prev, prec_new):
+                    cols = list(free_rem)
+                    for h2 in range(h + mu + 1, bot + 1):
+                        cols.extend(pivots_by_block[h2 - 1])
+                    writes += [(c, mu) for c in sorted(cols)]
+                rows += [(h, r, writes) for r in range(len(piv))]
+            plans[bottom_piv] = fill_plan(spec, level, n, profile, rows, test=True)
         out.append((bottom_rows, tuple(pivots_by_block), plans[bottom_piv]))
     return dict(stage_plan(spec))[level], tuple(out)
+
+
+def _carried(code: RingCode) -> tuple:
+    """(pivot columns, precision) per block of code, the carried key of
+    _lift_plan: block i (0-based) has precision level - max(0, i - gamma)."""
+    gamma = len(code.profile) - code.level
+    return tuple((piv, code.level - max(0, i - gamma)) for i, piv in enumerate(code.pivots))
 
 
 def _require_valid(chain: SOChain) -> None:
@@ -419,7 +425,7 @@ def _base_lift(chain: SOChain, new_count: int) -> Iterator[RingCode]:
     carried = tuple((piv, 1) for _, piv in mat)
     _, bottoms = _lift_plan(spec, chain.n, level, spec.e // 2 - 1, carried, new_count)
     for rows, pivots, plan in bottoms:
-        yield from fill_candidates(plan, pivots, templates, rows)
+        yield from fill_candidates(plan, pivots, templates + [rows])
 
 
 def lift_once(prev: RingCode, chain: SOChain, new_count: int) -> Iterator[RingCode]:
@@ -437,16 +443,12 @@ def lift_once(prev: RingCode, chain: SOChain, new_count: int) -> Iterator[RingCo
     gamma = prev.gamma - 1
     if gamma != spec.e // 2 - level // 2:
         raise ValueError("previous code does not carry a full-depth profile")
-    carried = tuple(
-        (prev.pivots[h - 1], prev.precision(h))
-        for h in range(1, len(prev.profile) + 1)
-    )
-    tag, bottoms = _lift_plan(spec, prev.n, level, gamma, carried, new_count)
+    tag, bottoms = _lift_plan(spec, prev.n, level, gamma, _carried(prev), new_count)
     if tag == STAGE_BREAK_CROSSING:
         if stage_obstruction(spec, prev.n, chain.contains_one) is not None:
             return
     for rows, pivots, plan in bottoms:
-        yield from fill_candidates(plan, pivots, prev.block_rows, rows)
+        yield from fill_candidates(plan, pivots, prev.block_rows + (rows,))
 
 
 def construct_self_orthogonal(chain: SOChain, lambdas: Sequence[int]) -> RingCode:

@@ -31,7 +31,6 @@ from .fieldcodes import (
 from .galois import make_galois_ring
 from .ringcodes import (
     RingCode,
-    Slot,
     code_signature,
     fill_candidates,
     fill_plan,
@@ -134,16 +133,17 @@ def _pivot_placements(
     yield from grow(0, tuple(range(n)), [])
 
 
-def _type_slots(
+def _type_rows(
     n: int, profile: Sequence[int], level: int, pivots: Tuple[Tuple[int, ...], ...]
-) -> List[Slot]:
-    """The slots of one pivot placement: every digit of a row's precision
-    at the free columns, and below the scale gap at the pivots of later
-    blocks.  Every placement of a profile leaves the same number."""
+) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
+    """The written rows of one pivot placement, as fill_plan takes them:
+    every digit of a row's precision at the free columns, and below the
+    scale gap at the pivots of later blocks.  Every placement of a
+    profile leaves the same number of writes."""
     gamma = len(profile) - level
     taken = {c for piv in pivots for c in piv}
     free = [c for c in range(n) if c not in taken]
-    slots: List[Slot] = []
+    out = []
     for h, rows in enumerate(profile, start=1):
         if not rows:
             continue
@@ -152,20 +152,21 @@ def _type_slots(
             (c, mu) for h2 in range(h + 1, len(profile) + 1)
             for c in pivots[h2 - 1] for mu in range(min(prec, h2 - h))
         ]
-        slots += [(h, r, c, mu) for r in range(rows) for c, mu in writes]
-    return slots
+        out += [(h, r, writes) for r in range(rows)]
+    return out
 
 
 def _walk_size(spec: ChainRingSpec, n: int, profile: Sequence[int], level: int) -> int:
     """The number of matrices _matrix_candidates writes: pivot placements
-    times q to the slots of one placement, any one."""
+    times q to the writes of one placement, any one."""
     placements, left = 1, n
     for rows in profile:
         placements *= math.comb(left, rows)
         left -= rows
     cols = iter(range(n))
     some = tuple(tuple(itertools.islice(cols, rows)) for rows in profile)
-    return placements * spec.q ** len(_type_slots(n, profile, level, some))
+    writes = sum(len(w) for _, _, w in _type_rows(n, profile, level, some))
+    return placements * spec.q ** writes
 
 
 def _matrix_candidates(
@@ -176,7 +177,7 @@ def _matrix_candidates(
     for pivots in _pivot_placements(profile, n):
         # every entry zero except a 1 at each row's pivot
         base = [[[int(c == p) for c in range(n)] for p in piv] for piv in pivots]
-        plan = fill_plan(spec, level, n, profile, _type_slots(n, profile, level, pivots))
+        plan = fill_plan(spec, level, n, profile, _type_rows(n, profile, level, pivots))
         yield from fill_candidates(plan, pivots, base)
 
 
@@ -269,26 +270,25 @@ def brute_force_lift_count(
     profile = prev.profile + (new_count,)
     gamma = len(profile) - level
     member = chain_codes[gamma]
-    slots: List[Slot] = []
+    rows = []
     for h in range(1, len(prev.profile) + 1):
         prec_prev = prev.precision(h)
         prec_new = level - max(0, h - gamma - 1)
-        for r in range(prev.profile[h - 1]):
-            for c in range(n):
-                for mu in range(prec_prev, prec_new):
-                    slots.append((h, r, c, mu))
+        writes = [(c, mu) for c in range(n) for mu in range(prec_prev, prec_new)]
+        rows += [(h, r, writes) for r in range(prev.profile[h - 1])]
     taken = {c for piv in prev.pivots for c in piv}
     free_cols = [c for c in range(n) if c not in taken]
     if new_count > len(free_cols):
         return 0
     bottoms = list(fieldcodes.placed_subspaces(spec.gr, n, free_cols, new_count))
-    _check_budget(spec, n, len(bottoms) * spec.q ** len(slots), budget)
+    written = sum(len(writes) for _, _, writes in rows)
+    _check_budget(spec, n, len(bottoms) * spec.q ** written, budget)
     prev_sig = code_signature(prev)
-    plan = fill_plan(spec, level, n, profile, slots)
+    plan = fill_plan(spec, level, n, profile, rows)
     seen = set()
     for bottom_rows, bottom_piv in bottoms:
         pivots = prev.pivots + (bottom_piv,)
-        for cand in fill_candidates(plan, pivots, prev.block_rows, bottom_rows):
+        for cand in fill_candidates(plan, pivots, prev.block_rows + (bottom_rows,)):
             if not is_self_orthogonal_ring(cand):
                 continue
             if not satisfies_deep_orthogonality(cand):

@@ -18,8 +18,6 @@ ring kernel's packed-word layout, spec.ops.high and spec.ops.level_masks.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -40,8 +38,7 @@ RVec = Tuple[CRElem, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingCode:
+class RingCode(NamedTuple):
     """A linear code in block standard form over a chain-ring quotient.
 
     profile[h-1] is the number of rows in block h (h = 1-based).  The number
@@ -104,14 +101,10 @@ def _reversal(n: int, level_type: Tuple[int, ...]) -> Tuple[int, ...]:
 # candidate generator matrices
 # ---------------------------------------------------------------------------
 
-# (block h, row r, column c, digit position mu), h 1-based
-Slot = Tuple[int, int, int, int]
-
-
 class FillPlan(NamedTuple):
     """The shape of the codes written (spec, level, n, profile).  rows: (h,
-    r, (column, bit shift) per slot) per written row, in slot order.  test:
-    None or (pairs, masks), pairs = (h1, r1, h2, r2, mask) over the
+    r, (column, bit shift) per write) per written row, in walk order.
+    test: None or (pairs, masks), pairs = (h1, r1, h2, r2, mask) over the
     unwritten rows and masks[k] = (self mask, (h, r, mask) per unwritten
     row, (j, mask) per earlier written row j) for written row k.  A dot
     product passes a mask when it has no digit under it.
@@ -126,25 +119,26 @@ class FillPlan(NamedTuple):
 
 
 def fill_plan(
-    spec: ChainRingSpec, level: int, n: int, profile: Sequence[int], slots: Sequence[Slot],
-    test: bool = False,
+    spec: ChainRingSpec, level: int, n: int, profile: Sequence[int],
+    rows: Sequence[Tuple[int, int, Sequence[Tuple[int, int]]]], test: bool = False,
 ) -> FillPlan:
-    """The plan fill_candidates follows; the slots of a row must be contiguous.
+    """The plan fill_candidates follows: each row is (h, r, writes), block
+    h 1-based and writes its (column, digit position) pairs in walk order.
+    A row with no writes is left as the template has it.
 
     With test set, fill_candidates yields only the codes that pass
     is_self_orthogonal_ring and satisfies_deep_orthogonality: rows at
     scales u^pa, u^pb need level - pa - pb zero digits in their dot
     product, and a top-block row the deep_masks of its block.
     """
-    rows: List[Tuple[int, int, list]] = []
     profile = tuple(profile)
-    for h, r, c, mu in slots:
-        if not rows or rows[-1][:2] != (h, r):
-            if any(row[:2] == (h, r) for row in rows):
-                raise ValueError("the slots of one row must be contiguous")
-            rows.append((h, r, []))
-        rows[-1][2].append((c, spec.m * mu))
-    plan = FillPlan(spec, level, n, profile, tuple((h, r, tuple(w)) for h, r, w in rows), None)
+    plan = FillPlan(
+        spec, level, n, profile,
+        tuple(
+            (h, r, tuple((c, spec.m * mu) for c, mu in writes)) for h, r, writes in rows if writes
+        ),
+        None,
+    )
     if not test:
         return plan
     gamma = len(profile) - level
@@ -155,7 +149,7 @@ def fill_plan(
         own = deep[a[0] - 1] if a == b and a[0] <= len(deep) else 0
         return truncate_elem(spec, -1, max(0, level - pa - pb)) | own  # digits below the need
 
-    written = [row[:2] for row in rows]
+    written = [(h, r) for h, r, _ in plan.rows]
     every = [(h, r) for h, size in enumerate(profile, start=1) for r in range(size)]
     fixed = [a for a in every if a not in written]
     pairs = [a + b + (mask(a, b),) for i, a in enumerate(fixed) for b in fixed[i:]]
@@ -172,7 +166,7 @@ def fill_plan(
 
 # The first written row is listed 2**_LISTED_BITS variants at a time, over a
 # list of its leading writes; the other rows are listed whole.  They have no
-# more slots than the first in the oracle's walk and a few in a lift plan,
+# more writes than the first in the oracle's walk and a few in a lift plan,
 # so a walk of q**w candidates holds about q**w / 2**12 + 2**12 rows plus
 # at most sqrt(q**w) per other row, where whole lists would hold q**w.
 _LISTED_BITS = 12
@@ -190,40 +184,36 @@ def fill_candidates(
     plan: FillPlan,
     pivots: Tuple[Tuple[int, ...], ...],
     templates: Sequence[Sequence[RVec]],
-    tail: Optional[Tuple[RVec, ...]] = None,
 ) -> Iterator[RingCode]:
     """Every code of the plan's shape obtained by writing residue digits
-    into the plan's slots.
+    into the plan's rows.
 
-    templates[h-1][r][c] is entry c of row r of block h, and must have a
-    zero digit at each of its row's slots: a write ORs its digit in.  Each
-    slot takes every residue digit in turn, the last slot varying fastest
-    (the order of itertools.product over the slots); the other digits stay
-    as the template has them.  tail, if given, is appended unchanged as a
-    final block.  Each written row's variants are listed once per call
-    (the first row's in slices of its leading writes), and the rows are
-    chosen by a product over those lists; nested only where earlier-row
-    masks apply.  With the plan's test, a row keeps the variants that pass
-    its own and the unwritten rows' masks, and each choice is checked
-    against the earlier rows its masks name, so the survivors come out in
-    stream order.
+    templates[h-1][r][c] is entry c of row r of block h, one template
+    block per block of the profile, and must have a zero digit at each of
+    its row's writes: a write ORs its digit in.  Each write takes every
+    residue digit in turn, the last write varying fastest (the order of
+    itertools.product over the writes); the other digits stay as the
+    template has them.  Each written row's variants are listed once per
+    call (the first row's in slices of its leading writes), and one
+    recursive walk chooses a variant per row, the last row innermost.
+    With the plan's test, a row keeps the variants that pass its own and
+    the unwritten rows' masks, and each choice is checked against the
+    earlier rows its masks name, so the survivors come out in stream
+    order; without it, no row has earlier-row ties.
     """
     spec, level, n, profile, rows, test = plan
     blocks = [[tuple(row) for row in block] for block in templates]
-    if tail is not None:
-        blocks.append(list(tail))
     dot, q = spec.ops.dot, spec.q
 
     def make() -> RingCode:
         return RingCode(spec, level, n, profile, tuple(map(tuple, blocks)), pivots)
 
-    earlier = None
+    ties: List[tuple] = [()] * len(rows)
     if test is not None:
         pairs, masks = test
         if any(dot(blocks[a - 1][i], blocks[b - 1][j]) & mk for a, i, b, j, mk in pairs):
             return
-        if any(mask[2] for mask in masks):
-            earlier = [mask[2] for mask in masks]
+        ties = [mask[2] for mask in masks]
     if not rows:
         yield make()
         return
@@ -249,9 +239,9 @@ def fill_candidates(
 
     def walk(k: int) -> Iterator[RingCode]:
         block, r = targets[k]
-        ties = earlier[k]
+        tied = ties[k]
         for v in options[k]:
-            if not any(dot(v, chosen[j]) & mk for j, mk in ties):
+            if not tied or not any(dot(v, chosen[j]) & mk for j, mk in tied):
                 block[r] = chosen[k] = v
                 if k == last:
                     yield make()
@@ -262,16 +252,7 @@ def fill_candidates(
     cut = max(0, len(writes) - _LISTED_BITS // spec.m)
     for lead in _row_variants(bases[0], writes[:cut], q):
         options[0] = variants(0, lead, writes[cut:])
-        if earlier is not None:
-            yield from walk(0)
-            continue
-        block, r = targets[last]
-        for choice in itertools.product(*options[:last]):
-            for (row_block, row), v in zip(targets, choice):
-                row_block[row] = v
-            for v in options[last]:
-                block[r] = v
-                yield make()
+        yield from walk(0)
 
 
 # ---------------------------------------------------------------------------

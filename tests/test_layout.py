@@ -10,6 +10,10 @@ Cache guard: every lru_cache of the package names an integer maxsize, and
 functools.cache is not used, so no cache grows without bound.  The
 comment block directly above each @lru_cache holds a "# reuse:" line with
 the reuse measured for that cache.
+
+Import guard: every name a module-level import binds in a module of the
+package (__init__ aside) is read in that module, so a deletion leaves no
+stale import behind; no linter runs on the package.
 """
 
 import ast
@@ -170,3 +174,42 @@ def test_every_cache_states_its_measured_reuse():
 )
 def test_the_reuse_guard_flags_caches_without_a_figure(source, lines):
     assert caches_without_reuse(source) == lines
+
+
+def unused_imports(tree):
+    """Each name that a module-level import binds and that the module never
+    reads as a plain name; __future__ imports are aside, and a name listed
+    in __all__ counts as read."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)} | _exported(tree)
+    return sorted(name for name in bound if name not in read)
+
+
+def test_every_import_is_used():
+    found = {name: unused_imports(tree) for name, tree in _modules().items() if name != "__init__"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("import itertools\nitertools.chain()", []),
+        ("import itertools", ["itertools"]),
+        ("import os.path\nos.sep", []),
+        ("import os.path as osp", ["osp"]),
+        ("from typing import Optional\nx: Optional[int] = None", []),
+        ("from __future__ import annotations", []),
+        ("from a import b as c\nb", ["c"]),
+        ("from a import b\nx.b", ["b"]),
+        ("from a import b\n__all__ = ['b']", []),
+        ("def f():\n    import os", []),
+        ("from a import b, c\ndef f():\n    return c", ["b"]),
+    ],
+)
+def test_the_import_guard_flags_unused_imports(source, names):
+    assert unused_imports(ast.parse(source)) == names

@@ -380,15 +380,12 @@ def _unfiltered_second_stage(name, n):
             if validate_chain(chain):
                 continue
             for jet in base_lift(chain, lam[half]):
-                carried = tuple(
-                    (jet.pivots[h - 1], jet.precision(h)) for h in range(1, len(jet.profile) + 1)
-                )
                 _, bottoms = lifting._lift_plan(
-                    spec, n, level, jet.gamma - 1, carried, lam[half + 1]
+                    spec, n, level, jet.gamma - 1, lifting._carried(jet), lam[half + 1]
                 )
                 for rows, pivots, plan in bottoms:
                     unfiltered = plan._replace(test=None)
-                    yield from fill_candidates(unfiltered, pivots, jet.block_rows, rows)
+                    yield from fill_candidates(unfiltered, pivots, jet.block_rows + (rows,))
 
 
 @pytest.mark.parametrize(
@@ -399,8 +396,8 @@ def _unfiltered_second_stage(name, n):
     ],
 )
 def test_unfiltered_stage_stream_is_pinned(name, n, pinned):
-    # pinned while fill_candidates walked rows in nested loops: writing
-    # every slot without a test keeps the order of itertools.product
+    # pinned while fill_candidates walked rows in nested loops: with no test,
+    # the writes keep the order of itertools.product
     assert stream_digest(_unfiltered_second_stage(name, n)) == pinned
 
 
@@ -409,7 +406,7 @@ def _filtered_stream(spec, n, level, gamma, carried, templates, new_count):
     filtered by the two whole-code predicates."""
     _, bottoms = lifting._lift_plan(spec, n, level, gamma, carried, new_count)
     for rows, pivots, plan in bottoms:
-        for cand in fill_candidates(plan._replace(test=None), pivots, templates, rows):
+        for cand in fill_candidates(plan._replace(test=None), pivots, list(templates) + [rows]):
             if is_self_orthogonal_ring(cand) and satisfies_deep_orthogonality(cand):
                 yield cand
 
@@ -448,12 +445,8 @@ def test_stage_search_equals_filtered_stream(name, n):
                 lifted = []
                 for jet in jets:
                     got = list(lift_once(jet, chain, lam[half + k]))
-                    carried = tuple(
-                        (jet.pivots[h - 1], jet.precision(h))
-                        for h in range(1, len(jet.profile) + 1)
-                    )
                     want = list(_filtered_stream(
-                        spec, n, jet.level + 2, jet.gamma - 1, carried,
+                        spec, n, jet.level + 2, jet.gamma - 1, lifting._carried(jet),
                         jet.block_rows, lam[half + k],
                     ))
                     assert got == want, (lam, chain.dims, jet.level + 2)

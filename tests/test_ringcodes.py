@@ -1,11 +1,11 @@
 """Chain ring codes: standard form, torsion, truncation, duality."""
 
-import dataclasses
 import itertools
 import random
 
 import pytest
 
+from chaincodes import ringcodes
 from chaincodes.chain import (
     PRESET_NAMES,
     from_u_adic,
@@ -182,7 +182,7 @@ def test_signature_ignores_the_spanning_rows():
     # level-2 code; their sums in R_e differ only in digits at and above 2
     spec = preset("R4,1")
     code = make_code(spec, 2, 3, [(1, 0, 1), (0, 1, 1)])
-    other = dataclasses.replace(code, block_rows=(((1, 1, 0), (0, 1, 1)), ()))
+    other = code._replace(block_rows=(((1, 1, 0), (0, 1, 1)), ()))
     assert code_signature(other) == code_signature(code)
 
 
@@ -348,11 +348,11 @@ def test_orthogonality_predicates_equal_the_valuation_reference(label):
 
 def _written_out(plan, pivots, templates):
     """fill_candidates by hand: one matrix per digit assignment to the
-    slots, in the order of itertools.product over them."""
-    slots = [(h, r, c, shift) for h, r, writes in plan.rows for c, shift in writes]
-    for digits in itertools.product(range(plan.spec.q), repeat=len(slots)):
+    writes, in the order of itertools.product over them."""
+    writes = [(h, r, c, shift) for h, r, row in plan.rows for c, shift in row]
+    for digits in itertools.product(range(plan.spec.q), repeat=len(writes)):
         blocks = [[list(row) for row in block] for block in templates]
-        for (h, r, c, shift), d in zip(slots, digits):
+        for (h, r, c, shift), d in zip(writes, digits):
             blocks[h - 1][r][c] |= d << shift
         rows = tuple(tuple(map(tuple, block)) for block in blocks)
         yield RingCode(plan.spec, plan.level, plan.n, plan.profile, rows, pivots)
@@ -361,21 +361,50 @@ def _written_out(plan, pivots, templates):
 @pytest.mark.parametrize(
     "label, n, profile, pivots, slots",
     [
-        # one row of 14 slots: its leading writes are walked above the listed ones
+        # one row of 14 writes: its leading writes are walked above the listed ones
         ("R4,1", 5, (1, 0, 0, 0), ((0,), (), (), ()),
-         [(1, 0, c, mu) for c in (1, 2, 3, 4) for mu in range(4)][:14]),
-        # a first row of 13 slots over a second of two
+         [(1, 0, [(c, mu) for c in (1, 2, 3, 4) for mu in range(4)][:14])]),
+        # a first row of 13 writes over a second of two
         ("R4,1", 5, (1, 1, 0, 0), ((0,), (1,), (), ()),
-         [(1, 0, c, mu) for c in (1, 2, 3, 4) for mu in range(4) if (c, mu) != (1, 0)][:13]
-         + [(2, 0, 2, 0), (2, 0, 4, 2)]),
-        # q = 4: seven slots of two bits each, then one
+         [(1, 0, [(c, mu) for c in (1, 2, 3, 4) for mu in range(4) if (c, mu) != (1, 0)][:13]),
+          (2, 0, [(2, 0), (4, 2)])]),
+        # q = 4: seven writes of two bits each, then one
         ("R6,2", 3, (1, 1, 0, 0, 0, 0), ((0,), (1,), (), (), (), ()),
-         [(1, 0, 2, mu) for mu in range(6)] + [(1, 0, 1, 0), (2, 0, 2, 3)]),
+         [(1, 0, [(2, mu) for mu in range(6)] + [(1, 0)]), (2, 0, [(2, 3)])]),
+        # a row with no writes stays as the template has it
+        ("R4,1", 4, (1, 1, 0, 0), ((0,), (1,), (), ()),
+         [(1, 0, []), (2, 0, [(2, 0), (3, 1)])]),
     ],
 )
 def test_fill_candidates_follow_the_product_over_slots(label, n, profile, pivots, slots):
     spec = _ring(label)
     templates = [[tuple(int(c == p) for c in range(n)) for p in piv] for piv in pivots]
     plan = fill_plan(spec, spec.e, n, profile, slots)
+    assert [row[:2] for row in plan.rows] == [(h, r) for h, r, writes in slots if writes]
     got = fill_candidates(plan, pivots, templates)
     assert list(got) == list(_written_out(plan, pivots, templates))
+
+
+def test_the_first_row_is_listed_in_slices(monkeypatch):
+    # a one-row walk of 2^20 candidates holds at most 2^12 variants of its
+    # row at once: listing the row whole took the peak RSS of the largest
+    # default-budget walk (R6,2 n=3, one row of 2^20 variants) to 131 MB,
+    # against 17 MB in slices
+    lengths = []
+    listed = ringcodes._row_variants
+
+    def recording(*args):
+        out = listed(*args)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(ringcodes, "_row_variants", recording)
+    spec, n = preset("R4,1"), 6
+    assert spec.q == 2
+    writes = [(c, mu) for c in range(1, n) for mu in range(spec.e)]
+    assert len(writes) == 20
+    plan = fill_plan(spec, spec.e, n, (1, 0, 0, 0), [(1, 0, writes)])
+    templates = [[tuple(int(c == 0) for c in range(n))], [], [], []]
+    stream = fill_candidates(plan, ((0,), (), (), ()), templates)
+    assert len(list(itertools.islice(stream, 5000))) == 5000
+    assert lengths and max(lengths) <= 2**ringcodes._LISTED_BITS
