@@ -46,7 +46,6 @@ from .ringcodes import (
     is_self_orthogonal_ring,
     make_code,
     satisfies_deep_orthogonality,
-    standard_form,
     torsion_code,
     truncate_code,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "satisfies_deep_orthogonality",
     "stage_count_formula",
     "stage_plan",
-    "standard_form",
     "to_u_adic",
     "torsion_code",
     "total_counts",

@@ -4,8 +4,9 @@ Vectors are tuples of field elements (bitmasks). The bilinear form is the
 residue of the chain-ring inner product of Teichmuller lifts, which works out
 to the plain coordinatewise dot product over F_{2^m} (vec_dot).
 
-enumerate_subspaces lists subspaces by RREF; placed_subspaces places those of
-a column set in F_{2^m}^n, which grows chain members and lift bottom blocks.
+enumerate_subspaces lists the subspaces supported on a column set by RREF; it
+grows chain members and lift bottom blocks, and sigma_doubly_even walks every
+column.
 """
 
 from __future__ import annotations
@@ -165,43 +166,29 @@ def contains_all_one(code: FieldCode) -> bool:
 # subspace enumeration (desk scale)
 # ---------------------------------------------------------------------------
 
-def enumerate_subspaces(gr: GRSpec, n: int, d: int) -> Iterator[FieldCode]:
-    """All d-dimensional subspaces of F_{2^m}^n, one RREF representative each."""
-    if d == 0:
-        yield zero_code(gr, n)
-        return
-    if d > n:
-        return
-    q = gr.q
-    for pivots in itertools.combinations(range(n), d):
-        pivset = set(pivots)
-        free_slots = [(r, c) for r in range(d) for c in range(n)
-                      if c > pivots[r] and c not in pivset]
+def enumerate_subspaces(gr: GRSpec, n: int, cols: Sequence[int], d: int) -> Iterator[FieldCode]:
+    """Every d-dimensional subspace of F_{2^m}^n supported on the columns
+    cols, one RREF representative each.
+
+    The pivots run over the d-subsets of cols in combinations order; the
+    free slots, (row, column) after a row's pivot, are filled in (row,
+    position in cols) order, the last slot fastest.  Chain members and
+    lift bottom blocks walk the non-pivot columns of a code C: the codes
+    D >= C with dim D = dim C + d are exactly C + W, one W each.
+    """
+    k, q = len(cols), gr.q
+    for picked in itertools.combinations(range(k), d):
+        pivots = tuple(cols[i] for i in picked)
+        free_slots = [
+            (r, cols[i]) for r in range(d) for i in range(picked[r] + 1, k) if i not in picked
+        ]
         for values in itertools.product(range(q), repeat=len(free_slots)):
             rows = [[0] * n for _ in range(d)]
             for r in range(d):
                 rows[r][pivots[r]] = 1
             for (r, c), val in zip(free_slots, values):
                 rows[r][c] = val
-            yield FieldCode(gr=gr, n=n, rows=tuple(tuple(r) for r in rows), pivots=tuple(pivots))
-
-
-def placed_subspaces(
-    gr: GRSpec, n: int, cols: Sequence[int], d: int
-) -> Iterator[Tuple[Tuple[FVec, ...], Tuple[int, ...]]]:
-    """Every d-dimensional subspace of the coordinates cols, placed in F_{2^m}^n.
-
-    Yields (canonical basis, pivot columns) per subspace, in the order of
-    enumerate_subspaces over len(cols) coordinates.  The codes D >= C with
-    dim D = dim C + d are exactly C + W for W placed at the non-pivot
-    columns of C, one W each.
-    """
-    where = {c: i for i, c in enumerate(cols)}
-    # a module global looked up at call time, so a rebinding of it (the
-    # benchmark's tracer wraps it) sees every walk
-    for sub in enumerate_subspaces(gr, len(cols), d):
-        rows = tuple(tuple(r[where[c]] if c in where else 0 for c in range(n)) for r in sub.rows)
-        yield rows, tuple(cols[p] for p in sub.pivots)
+            yield FieldCode(gr=gr, n=n, rows=tuple(tuple(r) for r in rows), pivots=pivots)
 
 
 # Values cost up to minutes each, so the bound sits far above the few
@@ -215,7 +202,7 @@ def sigma_doubly_even(n: int, d: int, m: int, with_one: bool) -> int:
     """
     gr = make_galois_ring(2, m)
     count = 0
-    for code in enumerate_subspaces(gr, n, d):
+    for code in enumerate_subspaces(gr, n, range(n), d):
         if is_doubly_even(code) and contains_all_one(code) == with_one:
             count += 1
     return count

@@ -8,8 +8,8 @@ digits on a restricted column support, and one new bottom block of rows is
 adjoined.  Rows are tested as they are written, for self-orthogonality
 plus the deeper diagonal conditions, from a plan cached per pivot
 structure; the torsion tower is aligned with the chain by construction.
-The bottom block and each step of the chain come from one placement,
-fieldcodes.placed_subspaces: a subspace of the columns the earlier rows
+The bottom block and each step of the chain come from one walk,
+fieldcodes.enumerate_subspaces: a subspace of the columns the earlier rows
 leave free.  Closed-form stage counts live alongside the search so the two
 can be compared case by case.
 """
@@ -373,7 +373,8 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
     free_cols = [c for c in range(n) if c not in taken]
     profile = tuple(len(p) for p in existing_pivots) + (new_count,)
     out, plans = [], {}
-    for bottom_rows, bottom_piv in fieldcodes.placed_subspaces(spec.gr, n, free_cols, new_count):
+    for bottom in fieldcodes.enumerate_subspaces(spec.gr, n, free_cols, new_count):
+        bottom_piv = bottom.pivots
         pivots_by_block = existing_pivots + [bottom_piv]
         if bottom_piv not in plans:
             free_rem = [c for c in free_cols if c not in bottom_piv]
@@ -389,7 +390,7 @@ def _lift_plan(spec: ChainRingSpec, n: int, level: int, gamma: int, carried: tup
                     writes += [(c, mu) for c in sorted(cols)]
                 rows += [(h, r, writes) for r in range(len(piv))]
             plans[bottom_piv] = fill_plan(spec, level, n, profile, rows, test=True)
-        out.append((bottom_rows, tuple(pivots_by_block), plans[bottom_piv]))
+        out.append((bottom.rows, tuple(pivots_by_block), plans[bottom_piv]))
     return dict(stage_plan(spec))[level], tuple(out)
 
 
@@ -529,7 +530,8 @@ def enumerate_so_chains(
             return
         prev = prefix[-1] if prefix else zero_code(gr, n)
         free = [c for c in range(n) if c not in prev.pivots]
-        for rows, _ in fieldcodes.placed_subspaces(gr, n, free, lambdas_head[idx]):
+        for sub in fieldcodes.enumerate_subspaces(gr, n, free, lambdas_head[idx]):
+            rows = sub.rows
             if not any(vec_dot(gr, a, b) for i, a in enumerate(rows) for b in rows[i:] + prev.rows):
                 yield from grow(prefix + [make_field_code(gr, n, prev.rows + rows)], idx + 1)
 

@@ -25,7 +25,6 @@ from .fieldcodes import (
     codewords,
     contains_all_one,
     elementary_symmetric_2,
-    enumerate_subspaces,
     vec_dot,
 )
 from .galois import make_galois_ring
@@ -280,15 +279,15 @@ def brute_force_lift_count(
     free_cols = [c for c in range(n) if c not in taken]
     if new_count > len(free_cols):
         return 0
-    bottoms = list(fieldcodes.placed_subspaces(spec.gr, n, free_cols, new_count))
+    bottoms = list(fieldcodes.enumerate_subspaces(spec.gr, n, free_cols, new_count))
     written = sum(len(writes) for _, _, writes in rows)
     _check_budget(spec, n, len(bottoms) * spec.q ** written, budget)
     prev_sig = code_signature(prev)
     plan = fill_plan(spec, level, n, profile, rows)
     seen = set()
-    for bottom_rows, bottom_piv in bottoms:
-        pivots = prev.pivots + (bottom_piv,)
-        for cand in fill_candidates(plan, pivots, prev.block_rows + (bottom_rows,)):
+    for bottom in bottoms:
+        pivots = prev.pivots + (bottom.pivots,)
+        for cand in fill_candidates(plan, pivots, prev.block_rows + (bottom.rows,)):
             if not is_self_orthogonal_ring(cand):
                 continue
             if not satisfies_deep_orthogonality(cand):
@@ -318,7 +317,7 @@ def brute_force_doubly_even_count(n: int, d: int, m: int, with_one: bool) -> int
     """
     gr = make_galois_ring(1, m)
     count = 0
-    for code in enumerate_subspaces(gr, n, d):
+    for code in fieldcodes.enumerate_subspaces(gr, n, range(n), d):
         ok = all(
             vec_dot(gr, w, w) == 0 and elementary_symmetric_2(gr, w) == 0
             for w in codewords(code)

@@ -11,7 +11,8 @@ The profile attached to a code may be finer than what its level requires.  A
 code produced by truncating or lifting a full-depth code remembers the
 original block split (one block per full-depth scale), which is what the
 structured orthogonality test below needs.  A code built directly from
-generators at level l gets the coarse split (gamma = 0).
+generators at level l (make_code, the one standard-form routine) gets the
+coarse split (gamma = 0).
 Codeword sets (code_signature) take their lane and level masks from the
 ring kernel's packed-word layout, spec.ops.high and spec.ops.level_masks.
 """
@@ -86,15 +87,6 @@ class RingCode(NamedTuple):
             p = max(0, h - gamma - 1)  # u_power(h)
             for w in rows:
                 yield w, p
-
-    def dual_level_type(self) -> Tuple[int, ...]:
-        """Coarse type of the annihilator dual, by the reversal rule."""
-        return _reversal(self.n, self.level_type)
-
-
-def _reversal(n: int, level_type: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The coarse dual type of a length-n code of the given coarse type."""
-    return (n - sum(level_type),) + tuple(reversed(level_type[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,99 +252,66 @@ def fill_candidates(
 # ---------------------------------------------------------------------------
 
 
-def standard_form(
-    spec: ChainRingSpec,
-    level: int,
-    n: int,
-    generators: Sequence[RVec],
-) -> Tuple[Tuple[int, ...], RingCode]:
-    """Reduce generators to block standard form.
+def make_code(
+    spec: ChainRingSpec, level: int, n: int, generators: Sequence[RVec]
+) -> RingCode:
+    """Canonical code spanned by the given rows at the given level: block
+    standard form, rows in the original coordinates.
 
-    Returns (perm, code) where perm lists the columns in standard-form
-    order (pivot columns block by block, then free columns); the code's
-    rows stay in the original coordinates.
-
-    One forward sweep with full cross-elimination is enough: clearing all
-    digits at and above the pivot scale in every other row leaves exactly
-    the reduced entries the standard form prescribes (zero at pivots of
-    the same or earlier blocks, reduced modulo the scale gap at pivots of
-    later blocks).
+    One pass over the columns per scale v: at each unused column, the
+    first unplaced row with valuation v there becomes a pivot row, divided
+    by its unit, and every other row loses the digits >= v of that column.
+    Unplaced rows keep valuation > v at the unused columns passed over, so
+    the pivots come out in (scale, column) order.  Full cross-elimination
+    leaves the reduced entries the standard form prescribes (zero at
+    pivots of the same or earlier blocks, reduced modulo the scale gap at
+    later ones).  Later pivots still rewrite a pivot row, so the blocks
+    are read last.
     """
     if not 1 <= level <= spec.e:
         raise ValueError("level out of range")
     ops, m = spec.ops, spec.m
     keep = truncate_elem(spec, -1, level)  # the digits below level, all set
     work: List[List[CRElem]] = [[x & keep for x in g] for g in generators]
-    for g in work:
-        if len(g) != n:
-            raise ValueError("generator length mismatch")
-    # placed pivots: (scale v, column c, index into work)
-    placed: List[Tuple[int, int, int]] = []
-    used_cols: set = set()
-    used_rows: set = set()
+    if any(len(g) != n for g in work):
+        raise ValueError("generator length mismatch")
+    unplaced = list(range(len(work)))
+    placed: List[List[int]] = [[] for _ in range(level)]  # indices into work
+    pivots: List[List[int]] = [[] for _ in range(level)]
+    used = set()
     for v in range(level):
-        while True:
-            found = None
-            for c in range(n):
-                if c in used_cols:
-                    continue
-                for ri, row in enumerate(work):
-                    if ri in used_rows:
-                        continue
-                    if u_valuation(spec, row[c]) == v:
-                        found = (ri, c)
-                        break
-                if found:
-                    break
-            if not found:
-                break
-            ri, c = found
-            row = work[ri]
+        for c in range(n):
+            if c in used:
+                continue
+            ri = next((i for i in unplaced if u_valuation(spec, work[i][c]) == v), None)
+            if ri is None:
+                continue
             # normalize: row[c] = u^v * unit, divide the row by the unit
-            inv = cr_inv(spec, row[c] >> (m * v))
-            row = work[ri] = [ops.mul(inv, x) & keep for x in row]
+            inv = cr_inv(spec, work[ri][c] >> (m * v))
+            row = work[ri] = [ops.mul(inv, x) & keep for x in work[ri]]
             # clear digits >= v of column c in every other row
             for rj, other in enumerate(work):
                 top = other[c] >> (m * v)  # digits >= v, shifted down
-                if rj == ri or not top:
-                    continue
-                minus = ops.neg(top)
-                work[rj] = [ops.add(y, ops.mul(minus, x)) & keep for y, x in zip(other, row)]
-            placed.append((v, c, ri))
-            used_cols.add(c)
-            used_rows.add(ri)
-    # leftover rows must be zero
-    for ri, row in enumerate(work):
-        if ri not in used_rows and any(row):
-            raise RuntimeError("elimination left a nonzero row unplaced")
-    placed.sort(key=lambda t: (t[0], t[1]))
-    profile = [0] * level
-    blocks: List[List[RVec]] = [[] for _ in range(level)]
-    pivots: List[List[int]] = [[] for _ in range(level)]
-    for v, c, ri in placed:
-        blocks[v].append(tuple(x >> (m * v) for x in work[ri]))
-        pivots[v].append(c)
-        profile[v] += 1
-    perm = [c for _, c, _ in placed] + [
-        c for c in range(n) if c not in used_cols
-    ]
-    code = RingCode(
+                if rj != ri and top:
+                    minus = ops.neg(top)
+                    work[rj] = [ops.add(y, ops.mul(minus, x)) & keep for y, x in zip(other, row)]
+            unplaced.remove(ri)
+            placed[v].append(ri)
+            pivots[v].append(c)
+            used.add(c)
+    if any(any(work[ri]) for ri in unplaced):
+        raise RuntimeError("elimination left a nonzero row unplaced")
+    return RingCode(
         ring=spec,
         level=level,
         n=n,
-        profile=tuple(profile),
-        block_rows=tuple(tuple(b) for b in blocks),
-        pivots=tuple(tuple(p) for p in pivots),
+        profile=tuple(map(len, pivots)),
+        block_rows=tuple(
+            tuple(tuple(x >> (m * v) for x in work[ri]) for ri in rows)
+            for v, rows in enumerate(placed)
+        ),
+        pivots=tuple(map(tuple, pivots)),
     )
-    return tuple(perm), code
-
-
-def make_code(
-    spec: ChainRingSpec, level: int, n: int, generators: Sequence[RVec]
-) -> RingCode:
-    """Canonical code spanned by the given rows at the given level."""
-    _, code = standard_form(spec, level, n, generators)
-    return code
 
 
 def scaled_generators(code: RingCode) -> List[RVec]:
@@ -535,7 +494,7 @@ def dual_code_ring(code: RingCode) -> RingCode:
     n = code.n
     coarse_code = code
     if code.gamma != 0:
-        _, coarse_code = standard_form(spec, lev, n, scaled_generators(code))
+        coarse_code = make_code(spec, lev, n, scaled_generators(code))
     # pivot data per scale v = 0..lev-1
     pivot_cols: List[List[int]] = [list(p) for p in coarse_code.pivots]
     rows_by_scale: List[List[RVec]] = [list(b) for b in coarse_code.block_rows]

@@ -4,6 +4,7 @@ interpreter for calls that might never return."""
 
 import functools
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -37,14 +38,42 @@ from chaincodes.ringcodes import (
     is_self_orthogonal_ring,
     make_code,
     scaled_generators,
-    standard_form,
 )
+
+
+def reference_placed_subspaces(
+    gr: GRSpec, n: int, cols: Sequence[int], d: int
+) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]]:
+    """(rows, pivots) of every d-dimensional subspace supported on cols:
+    the RREF walk over len(cols) coordinates (pivot combinations, then the
+    free slots in (row, column) order, the last fastest), each subspace
+    then copied into the columns cols of F_{2^m}^n.  The arbiter of
+    enumerate_subspaces' column sets."""
+    k = len(cols)
+    where = {c: i for i, c in enumerate(cols)}
+    if d == 0:
+        yield (), ()
+        return
+    if d > k:
+        return
+    for pivots in itertools.combinations(range(k), d):
+        free_slots = [
+            (r, c) for r in range(d) for c in range(k) if c > pivots[r] and c not in pivots
+        ]
+        for values in itertools.product(range(gr.q), repeat=len(free_slots)):
+            sub = [[0] * k for _ in range(d)]
+            for r in range(d):
+                sub[r][pivots[r]] = 1
+            for (r, c), val in zip(free_slots, values):
+                sub[r][c] = val
+            rows = tuple(tuple(r[where[c]] if c in where else 0 for c in range(n)) for r in sub)
+            yield rows, tuple(cols[p] for p in pivots)
 
 
 def enumerate_extensions(code: FieldCode, d: int) -> Iterator[FieldCode]:
     """All d-dimensional subspaces containing the given code, by filtering
     the walk over every d-dimensional subspace of the ambient space."""
-    for cand in enumerate_subspaces(code.gr, code.n, d):
+    for cand in enumerate_subspaces(code.gr, code.n, range(code.n), d):
         if is_subcode(code, cand):
             yield cand
 
@@ -118,7 +147,7 @@ def canonical_key(code: RingCode):
     """Level-granular canonical form, for equality across profile splits:
     the coarse standard form of the scaled generators, one standard form
     per code and no codeword set."""
-    _, coarse = standard_form(code.ring, code.level, code.n, scaled_generators(code))
+    coarse = make_code(code.ring, code.level, code.n, scaled_generators(code))
     return (coarse.level, coarse.n, coarse.profile, coarse.block_rows)
 
 
@@ -162,10 +191,18 @@ def reference_is_self_orthogonal_ring(code: RingCode) -> bool:
     return True
 
 
+def dual_level_type(code: RingCode) -> Tuple[int, ...]:
+    """Coarse type of the annihilator dual, by the reversal rule: a
+    length-n code of coarse type (head, lower...) has the dual type
+    (n - total, reversed lower...)."""
+    lam = code.level_type
+    return (code.n - sum(lam),) + tuple(reversed(lam[1:]))
+
+
 def reference_is_self_dual_ring(code: RingCode) -> bool:
     """Self-orthogonal with a coarse type equal to its dual's, compared as
     the level_type and dual_level_type tuples."""
-    if code.dual_level_type() != code.level_type:
+    if dual_level_type(code) != code.level_type:
         return False
     return reference_is_self_orthogonal_ring(code)
 

@@ -57,7 +57,7 @@ from chaincodes.ringcodes import (
 )
 from chaincodes.tables import GOLDEN_TABLES, reproduce_table
 
-from _util import canonical_key, random_code, random_field_code, so_pool
+from _util import canonical_key, dual_level_type, random_code, random_field_code, so_pool
 
 
 
@@ -210,7 +210,7 @@ def test_criterion_09a_dual_type_formula():
         for _ in range(reps):
             code = random_code(rng, spec, n)
             dual = dual_code_ring(code)
-            assert dual.level_type == code.dual_level_type()
+            assert dual.level_type == dual_level_type(code)
             assert code.size() * dual.size() == spec.size() ** n
             cases += 1
     assert cases >= 1000

@@ -332,7 +332,7 @@ def test_anchor_zero_family_counts_self_orthogonal_field_codes(name, n, top):
     closed = _without_one(spec, n, lam, _cum(lam))
     assert closed == sum(
         1
-        for code in enumerate_subspaces(make_galois_ring(2, spec.m), n, top)
+        for code in enumerate_subspaces(make_galois_ring(2, spec.m), n, range(n), top)
         if is_self_orthogonal_field(code)
     )
 

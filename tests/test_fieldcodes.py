@@ -1,5 +1,7 @@
 """Residue-field linear codes: RREF, duality, double evenness, subspaces."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -16,7 +18,6 @@ from chaincodes.fieldcodes import (
     is_self_orthogonal_field,
     is_subcode,
     make_field_code,
-    placed_subspaces,
     sigma_doubly_even,
     vec_add,
     vec_dot,
@@ -24,7 +25,7 @@ from chaincodes.fieldcodes import (
 )
 from chaincodes.galois import make_galois_ring
 
-from _util import random_field_code
+from _util import random_field_code, reference_placed_subspaces
 
 
 def _grs():
@@ -139,7 +140,7 @@ def test_enumerate_subspaces_counts_match_gaussian_binomials():
         (make_galois_ring(3, 2), 3, 1),
         (make_galois_ring(3, 2), 3, 2),
     ]:
-        subs = list(enumerate_subspaces(gr, n, d))
+        subs = list(enumerate_subspaces(gr, n, range(n), d))
         assert len(subs) == gaussian_binomial(n, d, gr.q)
         keys = {s.rows for s in subs}
         assert len(keys) == len(subs)
@@ -152,14 +153,31 @@ def test_enumerate_extensions_are_supercodes():
     base = make_field_code(gr, 4, [(1, 1, 1, 1)])
     free = [c for c in range(4) if c not in base.pivots]
     exts = [
-        make_field_code(gr, 4, base.rows + rows)
-        for rows, _ in placed_subspaces(gr, 4, free, 1)
+        make_field_code(gr, 4, base.rows + sub.rows)
+        for sub in enumerate_subspaces(gr, 4, free, 1)
     ]
     # one extension per line of the 3-dimensional quotient: 2^3 - 1 = 7
     assert len(set(exts)) == len(exts) == 7
     for ext in exts:
         assert ext.dim == 2
         assert is_subcode(base, ext)
+
+
+@pytest.mark.parametrize("m, most", [(1, 5), (2, 4)])
+def test_subspaces_of_a_column_set_equal_the_placed_walk(m, most):
+    # every column set of every length up to most, every dimension from
+    # zero to one past the set: the same subspaces, in the same order, as
+    # the walk over len(cols) coordinates copied into the columns
+    gr = make_galois_ring(2, m) if m == 1 else make_galois_ring(3, 2)
+    cases = 0
+    for n in range(most + 1):
+        for size in range(n + 1):
+            for cols in itertools.combinations(range(n), size):
+                for d in range(size + 2):
+                    got = [(s.rows, s.pivots) for s in enumerate_subspaces(gr, n, cols, d)]
+                    assert got == list(reference_placed_subspaces(gr, n, cols, d))
+                    cases += 1
+    assert cases == sum(math.comb(k, j) * (j + 2) for k in range(most + 1) for j in range(k + 1))
 
 
 @pytest.mark.parametrize(
@@ -183,7 +201,7 @@ def test_sigma_doubly_even_counts_subspaces():
             for d in range(0, min(n, 2) + 1):
                 slow_with = 0
                 slow_without = 0
-                for code in enumerate_subspaces(gr, n, d):
+                for code in enumerate_subspaces(gr, n, range(n), d):
                     if not is_doubly_even(code):
                         continue
                     if contains_all_one(code):

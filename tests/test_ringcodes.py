@@ -38,24 +38,26 @@ from chaincodes.ringcodes import (
     make_code,
     satisfies_deep_orthogonality,
     scaled_generators,
-    standard_form,
     torsion_code,
     truncate_code,
 )
 
 from _util import (
     canonical_key,
+    dual_level_type,
     random_code,
     reference_codewords,
     reference_is_self_dual_ring,
     reference_is_self_orthogonal_ring,
     so_pool,
+    stream_digest,
 )
 
 
 # 2^18 elements: over _TABLE_MAX, so its kernel computes each look-up
 COMPUTED_RING = "CR(2^3,2;3,3;1)"
 COMPUTED = (((COMPUTED_RING, 2), 10), ((COMPUTED_RING, 3), 10))
+CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
 
 
 def _ring(label):
@@ -99,6 +101,45 @@ def test_make_code_is_canonical():
             assert code_signature(code) == code_signature(again)
 
 
+def _generator_sets(seed, reps=14):
+    """Seeded generator sets at n <= 5 and every level of the four presets
+    and three CR rings.  An entry is zero, a random element or a multiple
+    of u^j; some rows are a multiple of an earlier row plus multiples of
+    u^j, so elimination also meets rows it clears to zero or to deep
+    digits."""
+    rng = random.Random(seed)
+    for label in PRESET_NAMES + CR_RINGS:
+        spec = _ring(label)
+        ops = spec.ops
+
+        def element(j=0):
+            digits = (0,) * j + tuple(rng.randrange(spec.q) for _ in range(spec.e - j))
+            return from_u_adic(spec, digits)
+
+        for n in range(1, 6):
+            for level in range(1, spec.e + 1):
+                for _ in range(reps):
+                    rows = []
+                    for _ in range(rng.randint(0, n + 1)):
+                        if rows and rng.random() < 0.25:
+                            c, b = element(), rng.choice(rows)
+                            deep = (element(rng.randrange(spec.e)) for _ in b)
+                            rows.append(tuple(ops.add(y, ops.mul(c, x)) for y, x in zip(deep, b)))
+                            continue
+                        j = rng.randrange(spec.e)
+                        rows.append(tuple(rng.choice((0, element(), element(j))) for _ in range(n)))
+                    yield spec, level, n, rows
+
+
+def test_make_code_is_pinned():
+    # pinned with the standard form that rescanned every column after each
+    # pivot: one pass per scale must give the same codes
+    codes = (make_code(*args) for args in _generator_sets(19))
+    assert stream_digest(codes) == (
+        3010, "c4d34060860b6a45282de6c7ac0e15a066ebad7dc2fd01ea3ed6b9822c67d332"
+    )
+
+
 def test_row_scrambles_preserve_the_code():
     rng = random.Random(23)
     for (label, n), reps in (((("R4,1", 3), 60),) + COMPUTED):
@@ -126,7 +167,7 @@ def test_size_matches_codeword_count():
         assert len(set(words)) == len(words)
 
 
-SIGNATURE_RINGS = PRESET_NAMES + ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)", "m=3")
+SIGNATURE_RINGS = PRESET_NAMES + CR_RINGS + ("m=3",)
 
 
 @pytest.mark.parametrize("label", SIGNATURE_RINGS)
@@ -223,7 +264,7 @@ def test_dual_type_formula_and_involution():
     for code in _random_codes(27):
         spec = code.ring
         dual = dual_code_ring(code)
-        assert dual.level_type == code.dual_level_type()
+        assert dual.level_type == dual_level_type(code)
         assert code.size() * dual.size() == spec.size() ** code.n
         # every pair of generators is orthogonal at full precision
         for a in scaled_generators(code):
