@@ -1,13 +1,13 @@
 """Exhaustive cross-checks for the closed-form counts.
 
-Everything here recounts from first principles: candidate generator
-matrices are enumerated directly, whole codeword sets
-(ringcodes.code_signature) settle duplicates, and doubly even means every
-single codeword passes, not just a basis.  The searches are deliberately
-naive so they can arbitrate the fast paths; budget guards keep them at
-desk scale unless explicitly raised.  Setting a recount beside its closed
-form (CountReport, compare_count, reproduce_table) is the business of
-tables, so nothing here reads the closed forms.
+Everything here recounts from first principles: the codes of a type are
+walked once each, as reduced standard forms (each row's pivot its leftmost
+unit), whole codeword sets (ringcodes.code_signature) check that none comes
+twice, and doubly even means every single codeword passes, not just a
+basis.  The searches are otherwise naive so they can arbitrate the fast
+paths; budget guards keep them at desk scale unless explicitly raised.
+Setting a recount beside its closed form (CountReport, compare_count,
+reproduce_table) is the business of tables, so nothing here reads them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import fieldcodes
-from .chain import ChainRingSpec
+from .chain import ChainRingSpec, format_ring_spec
 from .enumeration import _check_length
 from .fieldcodes import (
     codewords,
@@ -60,9 +60,10 @@ class OracleBudget:
     """Ceilings for the exhaustive searches.
 
     max_candidates bounds the number of candidate matrices one call may
-    walk.  max_length and max_ring_bits pin the searches to desk scale;
-    setting the CHAINCODES_BUDGET environment variable to a candidate
-    count lifts those two and uses that count as the ceiling.
+    walk, estimated from above.  max_length and max_ring_bits pin the
+    searches to desk scale; setting the CHAINCODES_BUDGET environment
+    variable to a candidate count lifts those two and uses that count as
+    the ceiling.
     """
 
     max_candidates: int = 4_000_000
@@ -106,7 +107,7 @@ def _check_budget(
         )
     if estimate > budget.max_candidates:
         raise BudgetError(
-            f"search needs {estimate} candidate matrices, over the ceiling "
+            f"search walks up to {estimate} candidate matrices, over the ceiling "
             f"{budget.max_candidates}; set CHAINCODES_BUDGET to raise it"
         )
 
@@ -117,66 +118,57 @@ def _check_budget(
 
 
 def _pivot_placements(
-    profile: Sequence[int], n: int
+    profile: Sequence[int], cols: Sequence[int]
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    def grow(
-        idx: int, remaining: Tuple[int, ...], acc: List[Tuple[int, ...]]
-    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        if idx == len(profile):
-            yield tuple(acc)
-            return
-        for piv in itertools.combinations(remaining, profile[idx]):
-            rest = tuple(c for c in remaining if c not in piv)
-            yield from grow(idx + 1, rest, acc + [piv])
-
-    yield from grow(0, tuple(range(n)), [])
+    if not profile:
+        yield ()
+        return
+    for piv in itertools.combinations(cols, profile[0]):
+        rest = [c for c in cols if c not in piv]
+        yield from ((piv,) + tail for tail in _pivot_placements(profile[1:], rest))
 
 
 def _type_rows(
-    n: int, profile: Sequence[int], level: int, pivots: Tuple[Tuple[int, ...], ...]
+    n: int, pivots: Tuple[Tuple[int, ...], ...]
 ) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
-    """The written rows of one pivot placement, as fill_plan takes them:
-    every digit of a row's precision at the free columns, and below the
-    scale gap at the pivots of later blocks.  Every placement of a
-    profile leaves the same number of writes."""
-    gamma = len(profile) - level
+    """The written rows of one pivot placement at full depth, as fill_plan
+    takes them: every digit of a row's precision at the free columns, and
+    below the scale gap at the pivots of later blocks, but no unit digit
+    left of the row's pivot, which the reduced standard form makes the
+    row's leftmost unit: one matrix per code."""
     taken = {c for piv in pivots for c in piv}
     free = [c for c in range(n) if c not in taken]
     out = []
-    for h, rows in enumerate(profile, start=1):
-        if not rows:
-            continue
-        prec = level - max(0, h - gamma - 1)
-        writes = [(c, mu) for c in free for mu in range(prec)] + [
-            (c, mu) for h2 in range(h + 1, len(profile) + 1)
-            for c in pivots[h2 - 1] for mu in range(min(prec, h2 - h))
+    for h, piv in enumerate(pivots, start=1):
+        prec = len(pivots) + 1 - h
+        cells = [(c, prec) for c in free] + [
+            (c, min(prec, h2 - h)) for h2, later in enumerate(pivots[h:], h + 1) for c in later
         ]
-        out += [(h, r, writes) for r in range(rows)]
+        out += [
+            (h, r, [(c, mu) for c, top in cells for mu in range(c < p, top)])
+            for r, p in enumerate(piv)
+        ]
     return out
 
 
-def _walk_size(spec: ChainRingSpec, n: int, profile: Sequence[int], level: int) -> int:
-    """The number of matrices _matrix_candidates writes: pivot placements
-    times q to the writes of one placement, any one."""
-    placements, left = 1, n
-    for rows in profile:
-        placements *= math.comb(left, rows)
-        left -= rows
-    cols = iter(range(n))
-    some = tuple(tuple(itertools.islice(cols, rows)) for rows in profile)
-    writes = sum(len(w) for _, _, w in _type_rows(n, profile, level, some))
-    return placements * spec.q ** writes
+def _walk_size(spec: ChainRingSpec, n: int, profile: Sequence[int]) -> int:
+    """At most the number of matrices _matrix_candidates writes: pivot
+    placements times q to the writes of the placement (0..k-1), where no
+    write is dropped, since only pivots lie left of a pivot."""
+    placements = math.factorial(n) // math.prod(map(math.factorial, [n - sum(profile), *profile]))
+    first = next(_pivot_placements(profile, range(n)))
+    return placements * spec.q ** sum(len(w) for _, _, w in _type_rows(n, first))
 
 
 def _matrix_candidates(
-    spec: ChainRingSpec, n: int, profile: Sequence[int], level: int
+    spec: ChainRingSpec, n: int, profile: Sequence[int]
 ) -> Iterator[RingCode]:
-    """Every standard-form-shaped matrix of the given type, one code each
-    up to duplicate pivot placements (callers dedup by codeword set)."""
-    for pivots in _pivot_placements(profile, n):
+    """Every reduced standard-form matrix of the given full-depth type:
+    each code of the type exactly once."""
+    for pivots in _pivot_placements(profile, range(n)):
         # every entry zero except a 1 at each row's pivot
         base = [[[int(c == p) for c in range(n)] for p in piv] for piv in pivots]
-        plan = fill_plan(spec, level, n, profile, _type_rows(n, profile, level, pivots))
+        plan = fill_plan(spec, spec.e, n, profile, _type_rows(n, pivots))
         yield from fill_candidates(plan, pivots, base)
 
 
@@ -187,25 +179,26 @@ def enumerate_codes_of_type(
     predicate: Optional[Callable[[RingCode], bool]] = None,
     budget: Optional[OracleBudget] = None,
 ) -> Iterator[RingCode]:
-    """All distinct codes of the given type, one representative each.
-
-    The predicate, if any, runs before the codeword-set deduplication, so
-    cheap filters keep the walk cheap.  Raises BudgetError when the raw
-    candidate count exceeds the budget.
+    """All codes of the given full-depth type that pass the predicate, one
+    standard-form matrix each.  A codeword set that comes twice means the
+    walk is wrong and raises RuntimeError; a walk whose estimate exceeds
+    the budget raises BudgetError.
     """
     _check_length(n)
-    if len(profile) < spec.e:
-        raise ValueError(f"profile {tuple(profile)} is shorter than the depth {spec.e}")
+    if len(profile) != spec.e:
+        side = "shorter" if len(profile) < spec.e else "longer"
+        raise ValueError(f"profile {tuple(profile)} is {side} than the depth {spec.e}")
     if sum(profile) > n:
         return
-    _check_budget(spec, n, _walk_size(spec, n, profile, spec.e), budget)
+    _check_budget(spec, n, _walk_size(spec, n, profile), budget)
     seen = set()
-    for cand in _matrix_candidates(spec, n, profile, spec.e):
+    for cand in _matrix_candidates(spec, n, profile):
         if predicate is not None and not predicate(cand):
             continue
         sig = code_signature(cand)
         if sig in seen:
-            continue
+            ring, lam = format_ring_spec(spec), tuple(profile)
+            raise RuntimeError(f"the walk repeated a code of type {lam} at n={n} over {ring}")
         seen.add(sig)
         yield cand
 

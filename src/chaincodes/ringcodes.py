@@ -157,10 +157,12 @@ def fill_plan(
 
 
 # The first written row is listed 2**_LISTED_BITS variants at a time, over a
-# list of its leading writes; the other rows are listed whole.  They have no
-# more writes than the first in the oracle's walk and a few in a lift plan,
-# so a walk of q**w candidates holds about q**w / 2**12 + 2**12 rows plus
-# at most sqrt(q**w) per other row, where whole lists would hold q**w.
+# list of its leading writes; the other rows are listed whole.  They have a
+# few writes in a lift plan and no more than the first in the oracle's walk
+# (a later row of its block drops as many unit digits or more, one of a later
+# block writes a digit fewer at each column), so a walk of q**w candidates
+# holds about q**w / 2**12 + 2**12 rows plus at most sqrt(q**w) per other
+# row, where whole lists would hold q**w.
 _LISTED_BITS = 12
 
 

@@ -5,6 +5,7 @@ interpreter for calls that might never return."""
 import functools
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -31,14 +32,20 @@ from chaincodes.fieldcodes import (
     zero_code,
 )
 from chaincodes.galois import GRElem, GRSpec
-from chaincodes.oracle import enumerate_codes_of_type
+from chaincodes.oracle import _pivot_placements, enumerate_codes_of_type
 from chaincodes.ringcodes import (
     RingCode,
     RVec,
+    fill_candidates,
+    fill_plan,
     is_self_orthogonal_ring,
     make_code,
     scaled_generators,
 )
+
+
+# the CLI-nameable rings of the closed-form benchmark stream besides the presets
+CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
 
 
 def reference_placed_subspaces(
@@ -68,6 +75,56 @@ def reference_placed_subspaces(
                 sub[r][c] = val
             rows = tuple(tuple(r[where[c]] if c in where else 0 for c in range(n)) for r in sub)
             yield rows, tuple(cols[p] for p in pivots)
+
+
+def reference_type_rows(
+    n: int, profile: Sequence[int], level: int, pivots: Tuple[Tuple[int, ...], ...]
+) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
+    """The written rows of one pivot placement at any level, as fill_plan
+    takes them: every digit of a row's precision at the free columns, and
+    below the scale gap at the pivots of later blocks.  Every row of a
+    block writes the same, and every placement the same number."""
+    gamma = len(profile) - level
+    taken = {c for piv in pivots for c in piv}
+    free = [c for c in range(n) if c not in taken]
+    out = []
+    for h, rows in enumerate(profile, start=1):
+        if not rows:
+            continue
+        prec = level - max(0, h - gamma - 1)
+        writes = [(c, mu) for c in free for mu in range(prec)] + [
+            (c, mu) for h2 in range(h + 1, len(profile) + 1)
+            for c in pivots[h2 - 1] for mu in range(min(prec, h2 - h))
+        ]
+        out += [(h, r, writes) for r in range(rows)]
+    return out
+
+
+def reference_walk_size(spec: ChainRingSpec, n: int, profile: Sequence[int], level: int) -> int:
+    """The number of matrices reference_matrix_candidates writes: pivot
+    placements times q to the writes of one placement, any one."""
+    placements, left = 1, n
+    for rows in profile:
+        placements *= math.comb(left, rows)
+        left -= rows
+    cols = iter(range(n))
+    some = tuple(tuple(itertools.islice(cols, rows)) for rows in profile)
+    writes = sum(len(w) for _, _, w in reference_type_rows(n, profile, level, some))
+    return placements * spec.q ** writes
+
+
+def reference_matrix_candidates(
+    spec: ChainRingSpec, n: int, profile: Sequence[int], level: int
+) -> Iterator[RingCode]:
+    """Every standard-form-shaped matrix of the given profile at the given
+    level, every digit written at every pivot placement, so most codes
+    come more than once.  The arbiter of the oracle's one-matrix-per-code
+    walk, which must be this stream less the matrices with a unit left of
+    a row's own pivot."""
+    for pivots in _pivot_placements(profile, range(n)):
+        base = [[[int(c == p) for c in range(n)] for p in piv] for piv in pivots]
+        plan = fill_plan(spec, level, n, profile, reference_type_rows(n, profile, level, pivots))
+        yield from fill_candidates(plan, pivots, base)
 
 
 def enumerate_extensions(code: FieldCode, d: int) -> Iterator[FieldCode]:

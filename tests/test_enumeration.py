@@ -40,7 +40,7 @@ from chaincodes.oracle import brute_force_code_count
 from chaincodes.ringcodes import is_self_orthogonal_ring
 from chaincodes.tables import GOLDEN_TABLES
 
-from _util import canonical_key
+from _util import CR_RINGS, canonical_key
 
 
 def test_gaussian_binomial_pins():
@@ -195,10 +195,6 @@ def test_length_seven_counts_decompose_over_chains(name, lam, count):
     assert _count_via_chains(spec, 7, lam) == count
 
 
-# the CLI-nameable rings of the closed-form benchmark stream besides the presets
-_CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
-
-
 def _per_type_sums(spec, n):
     """(so, sd) summed type by type, or the class of the first exception."""
     types = list(_all_types(spec.e, n))
@@ -232,7 +228,7 @@ def test_type_counts_are_pinned():
     # n <= 4 (q = 4)
     digest = hashlib.sha256()
     rows = 0
-    for name in PRESET_NAMES + _CR_RINGS:
+    for name in PRESET_NAMES + CR_RINGS:
         spec = parse_ring_spec(name) if name.startswith("CR(") else preset(name)
         for n in range((6 if spec.q == 2 else 4) + 1):
             for lam in _all_types(spec.e, n):
@@ -251,10 +247,10 @@ def test_type_counts_are_pinned():
     [
         (ring, range(1, (8 if ring.q == 2 else 6) + 1))
         for ring in [preset(name) for name in PRESET_NAMES]
-        + [parse_ring_spec(r) for r in _CR_RINGS]
+        + [parse_ring_spec(r) for r in CR_RINGS]
     ]
     + [(make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)), range(2, 6))],
-    ids=list(PRESET_NAMES) + list(_CR_RINGS) + ["m3"],
+    ids=list(PRESET_NAMES) + list(CR_RINGS) + ["m3"],
 )
 def test_total_counts_equals_per_type_sums(spec, lengths):
     # the closed-form benchmark grid; where the type-by-type route raises,

@@ -36,7 +36,7 @@ from chaincodes.ringcodes import (
     torsion_code,
 )
 
-from _util import reference_so_chains, stream_digest
+from _util import CR_RINGS, reference_so_chains, stream_digest
 
 
 def test_stage_plans_for_presets():
@@ -411,11 +411,10 @@ def _filtered_stream(spec, n, level, gamma, carried, templates, new_count):
                 yield cand
 
 
-_CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
 # R8,2 at n = 3 writes 8.1 million candidates, too many for the suite
 _SEARCH_GRID = [
     (name, n)
-    for name in PRESET_NAMES + _CR_RINGS
+    for name in PRESET_NAMES + CR_RINGS
     for n in (1, 2, 3)
     if (name, n) != ("R8,2", 3)
 ] + [("R4,1", 4)]

@@ -3,7 +3,7 @@
 import pytest
 
 from chaincodes import fieldcodes, lifting, oracle
-from chaincodes.chain import PRESET_NAMES, preset
+from chaincodes.chain import PRESET_NAMES, make_ring, parse_ring_spec, preset
 from chaincodes.enumeration import _all_types, count_so_type, sigma, total_counts
 from chaincodes.fieldcodes import make_field_code, zero_code
 from chaincodes.lifting import SOChain, base_lift, lift_once, stage_count_formula
@@ -18,9 +18,16 @@ from chaincodes.oracle import (
     default_budget,
     enumerate_codes_of_type,
 )
+from chaincodes.ringcodes import code_signature
 from chaincodes.tables import GOLDEN_TABLES, reproduce_table
 
-from _util import stream_digest
+from _util import (
+    CR_RINGS,
+    reference_matrix_candidates,
+    reference_type_rows,
+    reference_walk_size,
+    stream_digest,
+)
 
 
 def test_first_table_rows_recounted_exhaustively():
@@ -36,6 +43,7 @@ def test_single_type_spot_checks():
 
 
 def test_unit_multiples_deduplicate():
+    # the unit multiples of the one row span one code, written once
     r41 = preset("R4,1")
     codes = list(enumerate_codes_of_type(r41, 1, (1, 0, 0, 0)))
     assert len(codes) == 1
@@ -45,6 +53,25 @@ def test_short_profiles_are_refused():
     # the walk runs at full depth, so a type needs one entry per scale
     with pytest.raises(ValueError, match="shorter than the depth 4"):
         next(enumerate_codes_of_type(preset("R4,1"), 2, (0, 1, 0)))
+    with pytest.raises(ValueError, match="longer than the depth 4"):
+        next(enumerate_codes_of_type(preset("R4,1"), 2, (0, 0, 0, 0, 1)))
+
+
+def test_a_repeated_code_is_an_error(monkeypatch):
+    # the walk writes each code once; a second matrix of the same code
+    # means the walk is wrong, so it must stop the recount, not be skipped
+    walk = oracle._matrix_candidates
+
+    def twice(*args):
+        for cand in walk(*args):
+            yield cand
+            yield cand
+
+    monkeypatch.setattr(oracle, "_matrix_candidates", twice)
+    with pytest.raises(
+        RuntimeError, match=r"repeated a code of type \(0, 1, 0, 1\) at n=2 over CR\(2\^2,1;3,1;1\)"
+    ):
+        brute_force_code_count(preset("R4,1"), 2, (0, 1, 0, 1), "so")
 
 
 def _brute_total(spec, n, predicate):
@@ -187,24 +214,83 @@ def test_lift_recount_matches_search_on_every_chain(name):
 
 
 def test_oracle_walk_size_matches_budget_estimate():
-    # the budget check trusts _walk_size: the walk must yield exactly that
-    # many distinct matrices, at full depth and on finer profiles below it
+    # the budget check trusts _walk_size, the reference walk's size at full
+    # depth; the reference walk must yield exactly that many distinct
+    # matrices, at full depth and on finer profiles below it
     checked = 0
     for name in PRESET_NAMES:
         spec = preset(name)
         for level in (spec.e, spec.e - 2):
             for n in (1, 2):
                 for lam in _all_types(spec.e, n):
-                    want = _walk_size(spec, n, lam, level)
+                    want = reference_walk_size(spec, n, lam, level)
+                    if level == spec.e:
+                        assert _walk_size(spec, n, lam) == want
                     if want > 1500:
                         continue
                     seen = set()
-                    for cand in _matrix_candidates(spec, n, lam, level):
+                    for cand in reference_matrix_candidates(spec, n, lam, level):
                         assert cand.profile == lam
                         seen.add((cand.pivots, cand.block_rows))
                     assert len(seen) == want, (name, level, lam)
                     checked += 1
     assert checked > 50
+
+
+def _unit_left_of_pivot(cand):
+    """Whether some row has a unit entry (digit 0 nonzero) left of its pivot."""
+    low = cand.ring.q - 1
+    return any(
+        x & low
+        for block, piv in zip(cand.block_rows, cand.pivots)
+        for row, p in zip(block, piv)
+        for x in row[:p]
+    )
+
+
+def test_oracle_walk_writes_each_code_once():
+    # the walk is the reference walk less the matrices with a unit left of
+    # a row's own pivot, in the same order; it holds every code of the
+    # reference walk, each once, and stays within the budget estimate
+    rings = [preset(name) for name in PRESET_NAMES] + [parse_ring_spec(r) for r in CR_RINGS]
+    rings.append(make_ring(3, 3, 3, 2, modulus=(1, 1, 0, 1)))
+    checked = pruned = 0
+    for spec in rings:
+        for n in range(1, 5):
+            for lam in _all_types(spec.e, n):
+                size = spec.q ** sum(r * (spec.e - h) for h, r in enumerate(lam))
+                if reference_walk_size(spec, n, lam, spec.e) > 3000 or size > 256:
+                    continue
+                walk = list(_matrix_candidates(spec, n, lam))
+                reference = list(reference_matrix_candidates(spec, n, lam, spec.e))
+                kept = [c for c in reference if not _unit_left_of_pivot(c)]
+                assert walk == kept, (spec, n, lam)
+                sigs = {code_signature(c) for c in walk}
+                assert len(sigs) == len(walk), (spec, n, lam)
+                assert sigs == {code_signature(c) for c in reference}, (spec, n, lam)
+                assert len(walk) <= _walk_size(spec, n, lam)
+                checked += 1
+                pruned += len(reference) - len(walk)
+    assert checked > 400 and pruned > 70_000
+
+
+def test_first_pivot_placement_writes_most():
+    # _walk_size counts the writes of the placement (0..k-1): no placement
+    # writes more, and there the walk drops no write of the reference.  In
+    # every placement no row writes more than the first
+    for e in (4, 5):
+        for n in range(1, 5):
+            for lam in _all_types(e, n):
+                placements = list(oracle._pivot_placements(lam, range(n)))
+                sizes = []
+                for piv in placements:
+                    writes = [len(w) for _, _, w in oracle._type_rows(n, piv)]
+                    # the first written row is listed in slices, the others whole
+                    assert not writes or writes[0] == max(writes)
+                    sizes.append(sum(writes))
+                assert sizes[0] == max(sizes)
+                first = placements[0]
+                assert oracle._type_rows(n, first) == reference_type_rows(n, lam, e, first)
 
 
 @pytest.mark.parametrize(
@@ -217,10 +303,13 @@ def test_oracle_walk_size_matches_budget_estimate():
 )
 def test_oracle_candidate_stream_is_pinned(name, n, pinned):
     # pinned while fill_candidates walked rows in nested loops: every
-    # candidate matrix of every type, in the order the recount walks them
+    # matrix of the reference walk (every placement, every digit) of every
+    # type, in walk order
     spec = preset(name)
     stream = (
-        cand for lam in _all_types(spec.e, n) for cand in _matrix_candidates(spec, n, lam, spec.e)
+        cand
+        for lam in _all_types(spec.e, n)
+        for cand in reference_matrix_candidates(spec, n, lam, spec.e)
     )
     assert stream_digest(stream) == pinned
 

@@ -25,7 +25,6 @@ from chaincodes.lifting import (
     stage_plan,
     validate_chain,
 )
-from chaincodes.oracle import _matrix_candidates, _walk_size
 from chaincodes.ringcodes import (
     RingCode,
     code_signature,
@@ -43,12 +42,15 @@ from chaincodes.ringcodes import (
 )
 
 from _util import (
+    CR_RINGS,
     canonical_key,
     dual_level_type,
     random_code,
     reference_codewords,
     reference_is_self_dual_ring,
     reference_is_self_orthogonal_ring,
+    reference_matrix_candidates,
+    reference_walk_size,
     so_pool,
     stream_digest,
 )
@@ -57,7 +59,6 @@ from _util import (
 # 2^18 elements: over _TABLE_MAX, so its kernel computes each look-up
 COMPUTED_RING = "CR(2^3,2;3,3;1)"
 COMPUTED = (((COMPUTED_RING, 2), 10), ((COMPUTED_RING, 3), 10))
-CR_RINGS = ("CR(2^2,1;5,2;1)", "CR(2^3,1;3,3;3)", "CR(2^2,2;3,1;1)")
 
 
 def _ring(label):
@@ -333,12 +334,12 @@ def test_deep_orthogonality_rejects_shallow_truncation():
 
 
 def _oracle_walks(spec, n, cap=3000):
-    """Every candidate of the oracle's walks over every type of length n,
+    """Every candidate of the reference walks over every type of length n,
     at full depth and, on the finer profiles, two levels below it."""
     for level in (spec.e, spec.e - 2):
         for lam in _all_types(spec.e, n):
-            if level >= 1 and _walk_size(spec, n, lam, level) <= cap:
-                yield from _matrix_candidates(spec, n, lam, level)
+            if level >= 1 and reference_walk_size(spec, n, lam, level) <= cap:
+                yield from reference_matrix_candidates(spec, n, lam, level)
 
 
 def _stage_lifts(spec, n):
